@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import compiler, oracle, solver
-from .model import InfluenceDiagram, ParseError, parse_model, validate
+from .model import ParseError, parse_model, validate
 
 CHECK_TOL = 1e-9
 
@@ -23,7 +23,6 @@ class RunConfig:
     input_path: str
     order: list[str] | None = None  # explicit elimination sequence
     heuristic: str = "min-fill"
-    seed: int = 0
     dot: dict[str, str] = field(default_factory=dict)  # target -> output path
     policies: bool = False
     stats: bool = False
@@ -34,7 +33,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _policy_lines(result: solver.SolveResult, diagram: InfluenceDiagram) -> list[str]:
+def _policy_lines(result: solver.SolveResult) -> list[str]:
     lines = []
     for pol in result.policies:
         dom = ", ".join(v.name for v in pol.domain)
@@ -97,8 +96,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 3, out.getvalue()
 
     emit(f"model: {config.input_path}")
-    emit(f"variables: {len(diagram.variables)}  decisions: {diagram.partition.n}  "
-         f"seed: {config.seed}")
+    emit(f"variables: {len(diagram.variables)}  decisions: {diagram.partition.n}")
     emit(f"elimination: {' '.join(v.name for v in order.sequence)}")
     emit(f"cliques: {len(tree.cliques)}")
     for c in tree.cliques:
@@ -112,7 +110,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         emit(f"decision {pol.decision.name}: clique C{result.policy_clique[pol.decision.name]}")
 
     if config.policies:
-        for line in _policy_lines(result, diagram):
+        for line in _policy_lines(result):
             emit(line)
 
     if config.stats:
@@ -167,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--heuristic", choices=["min-fill", "min-weight"], default="min-fill"
     )
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument(
         "--dot",
         action="append",
@@ -192,7 +189,6 @@ def config_from_args(args) -> RunConfig:
         input_path=args.file,
         order=args.order.split(",") if args.order else None,
         heuristic=args.heuristic,
-        seed=args.seed,
         dot=dot,
         policies=args.policies,
         stats=args.stats,

@@ -12,7 +12,8 @@ child clique.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
@@ -233,7 +234,8 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
             if av <= best:
                 continue
             below = [w for w in c if alpha[w] < av]
-            for u in graph.vertices:
+            # an outside u that neighbors all of ``below`` neighbors below[0]
+            for u in adj[below[0]] if below else graph.vertices:
                 if u in c or alpha[u] >= av:
                     continue
                 if all(w in adj[u] for w in below):
@@ -254,43 +256,38 @@ class StrongJunctionTree:
     """Cliques ordered by index, each non-root linked to a parent clique.
 
     ``parent`` maps a clique index to its parent's index; separators are the
-    clique-parent intersections.  The root is the lowest-index clique.
+    clique-parent intersections.  The root is the lowest-index clique.  The
+    index and children lookups are built once, so ``parent`` must not change
+    after construction.
     """
 
     cliques: tuple[Clique, ...]
     parent: dict[int, int]
     root: int
+    _by_index: dict[int, Clique] = field(init=False, repr=False, compare=False)
+    _children: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        children: dict[int, list[int]] = {}
+        for k in sorted(self.parent):
+            children.setdefault(self.parent[k], []).append(k)
+        object.__setattr__(self, "_by_index", {c.index: c for c in self.cliques})
+        object.__setattr__(self, "_children", children)
 
     def clique(self, index: int) -> Clique:
-        for c in self.cliques:
-            if c.index == index:
-                return c
-        raise KeyError(index)
+        return self._by_index[index]
 
     def separator(self, child_index: int) -> frozenset[Variable]:
         return self.clique(child_index).members & self.clique(self.parent[child_index]).members
 
     def children(self, index: int) -> list[int]:
-        return sorted(k for k, p in self.parent.items() if p == index)
+        return list(self._children.get(index, ()))
 
     def variables(self) -> frozenset[Variable]:
         out: set[Variable] = set()
         for c in self.cliques:
             out |= c.members
         return frozenset(out)
-
-    def path(self, a: int, b: int) -> list[int]:
-        """Clique indices along the unique tree path from a to b, inclusive."""
-
-        def to_root(i: int) -> list[int]:
-            chain = [i]
-            while chain[-1] != self.root:
-                chain.append(self.parent[chain[-1]])
-            return chain
-
-        pa, pb = to_root(a), to_root(b)
-        common = next(i for i in pa if i in set(pb))
-        return pa[: pa.index(common) + 1] + pb[: pb.index(common)][::-1]
 
 
 def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
@@ -310,46 +307,49 @@ def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
     return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
 
 
-def verify_strong(tree: StrongJunctionTree, partition: TemporalPartition) -> list[Violation]:
+def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
     """Junction property, running intersection, and the strong-root rank test.
+
+    The junction test counts, for every variable v, the cliques holding v
+    minus the tree edges whose two ends both hold v: the cliques holding v
+    form a connected subtree exactly when the count is 1.
 
     An edge (parent C1, child C2) with separator S is strongly ordered when
     every separator member temporally precedes-or-ties every member of C2\\S;
     that is exactly the condition letting the child be eliminated before the
     separator during collect.
     """
-    del partition  # ranks are carried on the variables themselves
     out: list[Violation] = []
     indices = [c.index for c in tree.cliques]
     if tree.root not in indices:
         out.append(Violation("tree", f"root {tree.root} is not a clique index"))
         return out
+    rooted = {tree.root}
     for k in indices:
-        if k == tree.root:
-            continue
-        hops = set()
+        hops: set[int] = set()
         i = k
-        while i != tree.root:
+        while i not in rooted:
             if i not in tree.parent or i in hops:
                 out.append(Violation("tree", f"clique {k} is not connected to the root"))
                 return out
             hops.add(i)
             i = tree.parent[i]
+        rooted |= hops
+    if len(tree.parent) != len(indices) - 1:
+        links = f"{len(tree.parent)} parent links for {len(indices)} cliques"
+        out.append(Violation("tree", links))
+        return out
 
-    for a, b in combinations(indices, 2):
-        inter = tree.clique(a).members & tree.clique(b).members
-        if not inter:
-            continue
-        for on_path in tree.path(a, b)[1:-1]:
-            if not inter <= tree.clique(on_path).members:
-                missing = sorted(v.name for v in inter - tree.clique(on_path).members)
-                out.append(
-                    Violation(
-                        "junction",
-                        f"intersection of cliques {a} and {b} ({missing}) missing from "
-                        f"clique {on_path} on their path",
-                    )
-                )
+    pieces = Counter(v for c in tree.cliques for v in c.members)
+    for child in tree.parent:
+        pieces.subtract(tree.separator(child))
+    for v in sorted((v for v, n in pieces.items() if n != 1), key=lambda v: v.name):
+        out.append(
+            Violation(
+                "junction",
+                f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts",
+            )
+        )
 
     earlier: set[Variable] = set()
     for c in tree.cliques:
@@ -365,7 +365,7 @@ def verify_strong(tree: StrongJunctionTree, partition: TemporalPartition) -> lis
         earlier |= c.members
 
     for child, par in tree.parent.items():
-        sep = tree.clique(child).members & tree.clique(par).members
+        sep = tree.separator(child)
         rest = tree.clique(child).members - sep
         for s in sep:
             for w in rest:
@@ -391,7 +391,7 @@ def compile_diagram(
     tri, fills = triangulate(moral, order)
     cliques = cliques_of(tri, order)
     tree = build_strong_tree(cliques)
-    problems = verify_strong(tree, diagram.partition)
+    problems = verify_strong(tree)
     if problems:
         raise CompileError("; ".join(str(p) for p in problems))
     return tree, order, fills, moral, tri

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -182,21 +183,30 @@ class InfluenceDiagram:
         """Parents of v followed by v itself."""
         return self.parents[v.name] + (v,)
 
-    def children(self, v: Variable) -> list[Variable]:
-        return [c for c in self.chance_variables if v in self.parents[c.name]]
+    def children(self) -> dict[Variable, list[Variable]]:
+        """Chance children of every variable, in declaration order."""
+        out: dict[Variable, list[Variable]] = {v: [] for v in self.variables}
+        for c in self.chance_variables:
+            for p in self.parents.get(c.name, ()):
+                out.setdefault(p, []).append(c)
+        return out
 
     def descendants(self, v: Variable) -> set[Variable]:
-        seen: set[Variable] = set()
-        stack = self.children(v)
-        while stack:
-            w = stack.pop()
-            if w not in seen:
-                seen.add(w)
-                stack.extend(self.children(w))
-        return seen
+        return _reachable(self.children(), v)
 
     def state_space_size(self) -> int:
         return math.prod(len(v.states) for v in self.variables)
+
+
+def _reachable(children: Mapping[Variable, list[Variable]], v: Variable) -> set[Variable]:
+    seen: set[Variable] = set()
+    stack = list(children.get(v, ()))
+    while stack:
+        w = stack.pop()
+        if w not in seen:
+            seen.add(w)
+            stack.extend(children[w])
+    return seen
 
 
 class Violation(NamedTuple):
@@ -276,6 +286,9 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
                 Violation("cpt", f"cpt of {v.name!r} is not over its family")
             )
             continue
+        if not np.all(np.isfinite(cpt.values)):
+            out.append(Violation("cpt", f"cpt of {v.name!r} has non-finite entries"))
+            continue
         if np.any(cpt.values < 0):
             out.append(Violation("cpt", f"cpt of {v.name!r} has negative entries"))
         axis = cpt.domain.index(v)
@@ -294,25 +307,22 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
 
-    # cycle check over chance arcs plus decision->child arcs
-    color: dict[Variable, int] = {}
-
-    def dfs(v: Variable) -> bool:
-        color[v] = 1
-        for c in diagram.children(v):
-            st = color.get(c, 0)
-            if st == 1 or (st == 0 and dfs(c)):
-                return True
-        color[v] = 2
-        return False
-
-    if any(color.get(v, 0) == 0 and dfs(v) for v in diagram.variables):
+    # Kahn's cycle check over chance arcs plus decision->child arcs
+    children = diagram.children()
+    indegree = Counter(c for cs in children.values() for c in cs)
+    ready = [v for v in children if not indegree[v]]
+    for v in ready:  # the list grows while it is walked
+        for c in children[v]:
+            indegree[c] -= 1
+            if not indegree[c]:
+                ready.append(c)
+    if len(ready) < len(children):
         out.append(Violation("cycle", "directed graph over the variables has a cycle"))
     else:
         for d in p.decision_order:
             k = d.stage
             past = set().union(*p.information_sets[:k]) if k else set()
-            hit = diagram.descendants(d) & past
+            hit = _reachable(children, d) & past
             for x in sorted(hit, key=lambda v: v.name):
                 out.append(
                     Violation(

@@ -23,7 +23,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree
 from .model import InfluenceDiagram, Variable
-from .tables import Table, add, argmax_over, divide, extend, marg_all, multiply
+from .tables import Table, add, argmax_over, extend, marg_all, multiply
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -80,7 +80,6 @@ class SolveRun:
     tree: StrongJunctionTree
     diagram: InfluenceDiagram
     states: dict[int, CliqueState]
-    sent: dict[int, tuple[Table, Table]] = field(default_factory=dict)
     retired: set[int] = field(default_factory=set)
     max_steps: dict[Variable, _MaxStep] = field(default_factory=dict)
     root_scalar: tuple[float, float] | None = None
@@ -172,7 +171,6 @@ def absorb(run: SolveRun, child_index: int) -> None:
     parent = run.states[run.tree.parent[child_index]]
     parent.phi = multiply(parent.phi, phi_s)
     parent.psi = add(parent.psi, psi_s)
-    run.sent[child_index] = (phi_s, psi_s)
     run.retired.add(child_index)
 
 
@@ -198,7 +196,7 @@ def meu(run: SolveRun) -> float:
         mass = float(phi0.values)
         if mass == 0.0:
             raise InvariantError("model has zero total probability mass")
-        if abs(mass - 1.0) > ROOT_MASS_TOL:
+        if not abs(mass - 1.0) <= ROOT_MASS_TOL:  # NaN fails too
             raise InvariantError(f"root probability mass {mass!r} differs from 1")
         run.root_scalar = (mass, float(psi0.values))
     return run.root_scalar[1]
@@ -251,12 +249,3 @@ def global_pair(run: SolveRun, live_only: bool = True) -> tuple[Table, Table]:
         phi = multiply(phi, run.states[c.index].phi)
         psi = add(psi, run.states[c.index].psi)
     return phi, psi
-
-
-def rho_of(phi: Table, psi: Table) -> Table:
-    """Contraction product, the quantity preserved by absorption."""
-    return multiply(phi, psi)
-
-
-def psi_from_rho(rho: Table, phi: Table) -> Table:
-    return divide(rho, phi)

@@ -224,10 +224,12 @@ def marg_all(
     solvers use it to check that phi is constant in the decision and to record
     the optimal choice.
 
-    Within a stage all variables are chance and their internal order does not
-    affect the result; two decisions can never share a rank in a valid model.
+    Within a stage all variables are chance, and their order affects the
+    result only through floating-point rounding; ties break by name so the
+    result does not depend on set iteration order.  Two decisions can never
+    share a rank in a valid model.
     """
-    order = sorted(variables, key=lambda v: -v.rank)
+    order = sorted(variables, key=lambda v: (-v.rank, v.name))
     if not order:
         return phi, psi
     ranks = [v.rank for v in order if v.is_decision]

@@ -196,7 +196,7 @@ def test_criterion_5_structural_suite():
     for seed, kw in seeds:
         model = random_model(seed, **kw)
         tree, order, fills, moral, tri = compile_diagram(model)
-        assert verify_strong(tree, model.partition) == []
+        assert verify_strong(tree) == []
         ranks = [v.rank for v in order.sequence]
         assert all(x >= y for x, y in zip(ranks, ranks[1:]))
         _, refills = triangulate(tri, order)
@@ -207,7 +207,7 @@ def test_criterion_5_structural_suite():
     order = strong_elimination_order(graph, part, given=[vs[n] for n in GOLDEN_SEQUENCE])
     tri, fills = triangulate(graph, order)
     tree = build_strong_tree(cliques_of(tri, order))
-    assert verify_strong(tree, part) == []
+    assert verify_strong(tree) == []
     _report(5, "strong-tree-structure", True, f"{checked + 1} compilations")
 
 
@@ -257,8 +257,6 @@ def test_criterion_7_cli_determinism():
         ",".join(GOLDEN_SEQUENCE),
         "--policies",
         "--stats",
-        "--seed",
-        "7",
     ]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)

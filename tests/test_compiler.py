@@ -145,7 +145,7 @@ def test_min_fill_picks_the_simplicial_vertex_first():
 def test_heuristics_produce_verified_trees(golden_model):
     for heuristic in ("min-fill", "min-weight"):
         tree, order, fills, moral, tri = compile_diagram(golden_model, heuristic=heuristic)
-        assert verify_strong(tree, golden_model.partition) == []
+        assert verify_strong(tree) == []
 
 
 def test_determinism_same_input_same_result(golden_model):
@@ -296,13 +296,13 @@ def test_running_intersection_violation_detected():
 
 def test_verify_strong_accepts_the_golden_tree(golden):
     tree, part, _ = _golden_tree(golden)
-    assert verify_strong(tree, part) == []
+    assert verify_strong(tree) == []
 
 
 def test_junction_property_violation_on_rewired_edge(golden):
     tree, part, vs = _golden_tree(golden)
     broken = StrongJunctionTree(tree.cliques, {**tree.parent, 8: 6}, tree.root)
-    problems = verify_strong(broken, part)
+    problems = verify_strong(broken)
     junction = [p for p in problems if p.kind == "junction"]
     assert junction, problems
     assert any("D2" in p.message for p in junction)
@@ -327,7 +327,7 @@ def test_strong_root_violations_after_rerooting(golden):
                 new_parent[nb] = cur
                 frontier.append(nb)
     rerooted = StrongJunctionTree(tree.cliques, new_parent, 16)
-    problems = verify_strong(rerooted, part)
+    problems = verify_strong(rerooted)
     assert any(p.kind == "strong-root" for p in problems)
 
 
@@ -335,7 +335,7 @@ def test_compiled_random_models_pass_all_structure_checks():
     for seed in range(30):
         model = random_model(seed + 900)
         tree, order, fills, moral, tri = compile_diagram(model)
-        assert verify_strong(tree, model.partition) == []
+        assert verify_strong(tree) == []
         ranks = [v.rank for v in order.sequence]
         assert all(x >= y for x, y in zip(ranks, ranks[1:]))
         _, refills = triangulate(tri, order)
@@ -349,6 +349,61 @@ def test_compiled_random_models_pass_all_structure_checks():
             assert any(fam <= c.members for c in tree.cliques)
         for u in model.utilities:
             assert any(set(u.domain) <= c.members for c in tree.cliques)
+
+
+def _disconnected_variables(tree):
+    """Names of variables whose cliques induce a disconnected subtree, by networkx."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph(tree.parent.items())
+    graph.add_nodes_from(c.index for c in tree.cliques)
+    return {
+        v.name
+        for v in tree.variables()
+        if not nx.is_connected(graph.subgraph(c.index for c in tree.cliques if v in c.members))
+    }
+
+
+def _subtree(tree, index):
+    out, stack = set(), [index]
+    while stack:
+        k = stack.pop()
+        out.add(k)
+        stack.extend(tree.children(k))
+    return out
+
+
+def _assert_junction_matches_networkx(tree):
+    junction = [p.message for p in verify_strong(tree) if p.kind == "junction"]
+    split = _disconnected_variables(tree)
+    assert len(junction) == len(split)
+    assert all(any(f"'{name}'" in m for m in junction) for name in split)
+
+
+def test_junction_check_agrees_with_networkx_on_compiled_trees():
+    for seed in range(30):
+        tree, *_ = compile_diagram(random_model(seed + 900))
+        _assert_junction_matches_networkx(tree)
+
+
+def test_junction_check_agrees_with_networkx_on_rewired_golden_trees(golden):
+    tree, _, _ = _golden_tree(golden)
+    rewired = 0
+    for child, par in tree.parent.items():
+        below = _subtree(tree, child)
+        for c in tree.cliques:
+            if c.index in below or c.index == par:
+                continue
+            broken = StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, tree.root)
+            _assert_junction_matches_networkx(broken)
+            rewired += 1
+    assert rewired > 0
+
+
+def test_verify_strong_accepts_a_3000_clique_path():
+    xs = [chance_var(f"x{i}", ("0", "1"), 0) for i in range(3001)]
+    cliques = tuple(Clique(frozenset({xs[i - 1], xs[i]}), i) for i in range(1, 3001))
+    tree = StrongJunctionTree(cliques, {i: i - 1 for i in range(2, 3001)}, 1)
+    assert verify_strong(tree) == []
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,34 @@ def test_single_field_mutations_each_trigger_one_violation():
         assert kind in kinds, f"expected {kind} violation, got {kinds}"
 
 
+def test_non_finite_cpt_entries_violation():
+    bad = parse_model(TINY.replace("0.8 0.2 0.4 0.6", "nan nan 0.4 0.6"))
+    problems = validate(bad)
+    assert [p.kind for p in problems] == ["cpt"]
+    assert "non-finite" in problems[0].message
+
+
+def test_chance_variable_without_parent_entry_violation():
+    base = build_valid()
+    missing = InfluenceDiagram(base.variables, {"a": ()}, base.cpts, base.utilities)
+    problems = validate(missing)
+    assert [p.kind for p in problems] == ["parents"]
+    assert "'x'" in problems[0].message
+
+
+def test_validate_accepts_a_5000_variable_chain():
+    # deeper than the recursion limit: x0 observed, then D1, then a hidden chain
+    n = 5000
+    d1 = decision_var("D1", ("u", "v"), 1)
+    xs = [chance_var(f"x{i}", ("0", "1"), min(i, 1)) for i in range(n)]
+    parents = {"x0": (), "x1": (xs[0], d1)}
+    parents.update({f"x{i}": (xs[i - 1],) for i in range(2, n)})
+    cpts = {v.name: Table.from_flat([*parents[v.name], v], [0.5] * 2 ** (len(parents[v.name]) + 1))
+            for v in xs}
+    diagram = InfluenceDiagram((*xs, d1), parents, cpts, ())
+    assert validate(diagram) == []
+
+
 # ---------------------------------------------------------------------------
 # precedes
 

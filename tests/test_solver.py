@@ -299,7 +299,8 @@ def test_zero_support_separator_gets_zero_utility_message():
     psi2 = Table.from_flat([A], [3.0, 7.0])
     run = _two_clique_run(Table.unit(), Table.null(), phi2, psi2, {A}, {A, x})
     absorb(run, 2)
-    phi_s, psi_s = run.sent[2]
+    # the parent started at unit/null, so it now holds exactly the messages
+    phi_s, psi_s = run.states[1].phi, run.states[1].psi
     assert phi_s.values[0] == 0.0 and psi_s.values[0] == 0.0
     assert psi_s.values[1] == pytest.approx(7.0)
 
@@ -333,3 +334,14 @@ def test_constancy_violation_detected():
     with pytest.raises(InvariantError, match="non-negative constant"):
         collect(run)
         meu(run)
+
+
+def test_nan_root_mass_is_an_invariant_breach():
+    # validate rejects this model; the solver must not report MEU nan either
+    model = parse_model(
+        "decision D states d1 d2 index 1\nchance x states x0 x1 stage 1\n"
+        "cpt x given D : nan nan 0.4 0.6\nutility payoff over x : 0 10\n"
+    )
+    tree, *_ = compile_diagram(model)
+    with pytest.raises(InvariantError, match="root probability mass nan"):
+        solve(tree, model)
