@@ -11,10 +11,11 @@ child clique.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, takewhile
 from typing import Iterable, Literal, Sequence
 
 from .model import InfluenceDiagram, TemporalPartition, Variable, Violation
@@ -137,9 +138,15 @@ def strong_elimination_order(
     """Choose an elimination order blocked by stage, latest stage first.
 
     Within an information set the heuristic greedily picks the next vertex on
-    the evolving (partially eliminated, fill-completed) graph; ties break by
-    fill count, then clique weight, then name.  A ``given`` sequence bypasses
-    the heuristic but is still checked against the stage constraint.
+    the evolving (partially eliminated, fill-completed) graph, ranking
+    candidates by (fill count, clique weight, name) under min-fill and by
+    (clique weight, fill count, name) under min-weight.  A ``given`` sequence
+    bypasses the heuristic but is still checked against the stage constraint.
+
+    Each block member is scored once and kept in a heap.  Eliminating v
+    changes only the scores of v's neighbours (their neighbourhood changed)
+    and of the common neighbours of each fill edge (a, b) (one missing pair
+    fewer), so only those are rescored; stale heap entries are skipped.
     """
     if set(graph.vertices) != set(partition.variables):
         raise OrderError("graph and partition disagree on the variable set")
@@ -149,24 +156,34 @@ def strong_elimination_order(
         return EliminationOrder(tuple(given))
 
     adj = graph.adjacency()
+
+    def score(v: Variable) -> tuple[int, int, str]:
+        fill, weight = _fill_count(adj, v), _clique_weight(adj, v)
+        return (weight, fill, v.name) if heuristic == "min-weight" else (fill, weight, v.name)
+
     sequence: list[Variable] = []
-    blocks: list[list[Variable]] = []
+    blocks: list[Iterable[Variable]] = []
     n = partition.n
     for k, info in enumerate(partition.information_sets):
-        blocks.append(sorted(info, key=lambda v: v.name))
+        blocks.append(info)
         if k < n:
             blocks.append([partition.decision_order[k]])
     for block in reversed(blocks):
-        remaining = list(block)
-        while remaining:
-            if heuristic == "min-weight":
-                key = lambda v: (_clique_weight(adj, v), _fill_count(adj, v), v.name)
-            else:
-                key = lambda v: (_fill_count(adj, v), _clique_weight(adj, v), v.name)
-            v = min(remaining, key=key)
-            remaining.remove(v)
+        scores = {v: score(v) for v in block}
+        heap = [(key, v) for v, key in scores.items()]
+        heapq.heapify(heap)
+        while scores:
+            key, v = heapq.heappop(heap)
+            if scores.get(v) != key:
+                continue
+            del scores[v]
             sequence.append(v)
-            _eliminate_vertex(adj, v)
+            touched = set(adj[v])
+            for a, b in _eliminate_vertex(adj, v):
+                touched |= adj[a] & adj[b]
+            for w in touched & scores.keys():
+                scores[w] = score(w)
+                heapq.heappush(heap, (scores[w], w))
     return EliminationOrder(tuple(sequence))
 
 
@@ -202,15 +219,20 @@ class Clique:
 def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
     """Maximal cliques of a graph the order eliminates with zero fill-ins.
 
-    Each elimination step contributes the eliminated vertex plus its current
-    neighborhood; non-maximal sets are dropped.  A clique's index is the
-    number of the highest-numbered member v whose lower-numbered co-members
-    all neighbor some lower-numbered outside vertex (the elimination step at
-    which the clique stops being maximal in the remaining graph); cliques with
-    no such member get index 1, and only one clique may.
+    Eliminating u creates the clique E_u = {u} plus u's current neighbourhood.
+    With v the first-eliminated of those neighbours, E_v is not maximal
+    exactly when some such u has |E_u| = |E_v| + 1 (the elimination-tree test
+    of Blair & Peyton); every other E_v is a distinct maximal clique.  A
+    clique's index is the number of the highest-numbered member v whose
+    lower-numbered co-members all neighbor some lower-numbered outside vertex
+    (the elimination step at which the clique stops being maximal in the
+    remaining graph); cliques with no such member get index 1, and only one
+    clique may.
     """
     adj = graph.adjacency()
-    elim: list[frozenset[Variable]] = []
+    alpha = order.alpha
+    elim: dict[Variable, frozenset[Variable]] = {}
+    up: dict[Variable, Variable] = {}
     work = {v: set(ns) for v, ns in adj.items()}
     for v in order.sequence:
         nbrs = work[v]
@@ -219,13 +241,15 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
                 raise CompileError(
                     f"order does not perfectly eliminate the graph (gap at {v.name!r})"
                 )
-        elim.append(frozenset(nbrs | {v}))
+        elim[v] = frozenset(nbrs | {v})
+        if nbrs:
+            up[v] = max(nbrs, key=alpha.__getitem__)
         for nb in nbrs:
             work[nb].discard(v)
         del work[v]
 
-    maximal = [c for c in set(elim) if not any(c < d for d in elim)]
-    alpha = order.alpha
+    absorbed = {w for u, w in up.items() if len(elim[u]) == len(elim[w]) + 1}
+    maximal = [c for v, c in elim.items() if v not in absorbed]
 
     def index_of(c: frozenset[Variable]) -> int:
         best = 0
@@ -290,20 +314,44 @@ class StrongJunctionTree:
         return frozenset(out)
 
 
+def _lowest_holders(
+    cliques: Iterable[Clique], queries: Sequence[tuple[frozenset[Variable], int]]
+) -> list[Clique | None]:
+    """For each (separator, index) query, the lowest-index clique below that
+    index holding the separator, or None.
+
+    Only the cliques holding the separator member with the fewest holders are
+    scanned, in index order; an empty separator is held by the lowest-index
+    clique.
+    """
+    by_index = sorted(cliques, key=lambda c: c.index)
+    holding: dict[Variable, list[Clique]] = {}
+    for c in by_index:
+        for v in c.members:
+            holding.setdefault(v, []).append(c)
+    out: list[Clique | None] = []
+    for sep, index in queries:
+        pool = min((holding[v] for v in sep), key=len, default=by_index)
+        below = takewhile(lambda d: d.index < index, pool)
+        out.append(next((d for d in below if sep <= d.members), None))
+    return out
+
+
 def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
     """Attach each clique to the lowest-index earlier clique holding its separator."""
     ordered = sorted(cliques, key=lambda c: c.index)
     if not ordered:
         raise CompileError("no cliques")
-    parent: dict[int, int] = {}
+    queries = []
     earlier: set[Variable] = set(ordered[0].members)
     for c in ordered[1:]:
-        sep = c.members & earlier
-        holder = next((d for d in ordered if d.index < c.index and sep <= d.members), None)
+        queries.append((c.members & earlier, c.index))
+        earlier |= c.members
+    parent: dict[int, int] = {}
+    for c, holder in zip(ordered[1:], _lowest_holders(ordered, queries)):
         if holder is None:
             raise CompileError(f"running intersection violated at clique {c.index}")
         parent[c.index] = holder.index
-        earlier |= c.members
     return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
 
 
@@ -351,18 +399,20 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
             )
         )
 
+    queries = []
     earlier: set[Variable] = set()
     for c in tree.cliques:
         if c.index != tree.root:
-            sep = c.members & earlier
-            if not any(d.index < c.index and sep <= d.members for d in tree.cliques):
-                out.append(
-                    Violation(
-                        "running-intersection",
-                        f"separator of clique {c.index} fits no earlier clique",
-                    )
-                )
+            queries.append((c.members & earlier, c.index))
         earlier |= c.members
+    for (_, index), holder in zip(queries, _lowest_holders(tree.cliques, queries)):
+        if holder is None:
+            out.append(
+                Violation(
+                    "running-intersection",
+                    f"separator of clique {index} fits no earlier clique",
+                )
+            )
 
     for child, par in tree.parent.items():
         sep = tree.separator(child)

@@ -1,6 +1,7 @@
 """Moralization, strong elimination, triangulation, cliques, tree assembly."""
 
 import itertools
+import math
 
 import pytest
 
@@ -21,6 +22,7 @@ from idjt import (
     triangulate,
     verify_strong,
 )
+from idjt import compiler
 from idjt.compiler import Clique, moral_to_dot, tree_to_dot, triangulated_to_dot
 from idjt.randmodels import random_model
 
@@ -156,6 +158,95 @@ def test_determinism_same_input_same_result(golden_model):
     assert a[0].parent == b[0].parent
 
 
+def _reference_greedy(graph, partition, heuristic):
+    """The plain greedy: rescore every remaining block member before each pick."""
+    adj = graph.adjacency()
+
+    def fill(v):
+        return sum(1 for a, b in itertools.combinations(adj[v], 2) if b not in adj[a])
+
+    def weight(v):
+        return math.prod(len(w.states) for w in adj[v] | {v})
+
+    if heuristic == "min-weight":
+        key = lambda v: (weight(v), fill(v), v.name)
+    else:
+        key = lambda v: (fill(v), weight(v), v.name)
+    blocks = []
+    for k, info in enumerate(partition.information_sets):
+        blocks.append(sorted(info, key=lambda v: v.name))
+        if k < partition.n:
+            blocks.append([partition.decision_order[k]])
+    sequence = []
+    for block in reversed(blocks):
+        remaining = list(block)
+        while remaining:
+            v = min(remaining, key=key)
+            remaining.remove(v)
+            sequence.append(v)
+            for a, b in itertools.combinations(adj[v], 2):
+                adj[a].add(b)
+                adj[b].add(a)
+            for w in adj.pop(v):
+                adj[w].discard(v)
+    return tuple(sequence)
+
+
+def _grid(k, cardinality):
+    cells = {
+        (i, j): chance_var(f"g{i:02d}{j:02d}", tuple("012"[: cardinality(i, j)]), 0)
+        for i in range(k)
+        for j in range(k)
+    }
+    edges = frozenset(
+        frozenset((cells[i, j], cells[i + di, j + dj]))
+        for i, j in cells
+        for di, dj in ((0, 1), (1, 0))
+        if (i + di, j + dj) in cells
+    )
+    return MoralGraph(tuple(cells.values()), edges)
+
+
+def _order_cases(golden_model):
+    for i in range(200):
+        model = random_model(i, structural_zeros=i % 2 == 1)
+        yield moralize(model), model.partition
+    yield moralize(golden_model), golden_model.partition
+    for cardinality in (lambda i, j: 2, lambda i, j: 2 + (i * j) % 2):
+        grid = _grid(8, cardinality)
+        yield grid, TemporalPartition.from_variables(grid.vertices)
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
+def test_incremental_order_matches_the_reference_greedy(golden_model, heuristic):
+    for graph, part in _order_cases(golden_model):
+        got = strong_elimination_order(graph, part, heuristic=heuristic).sequence
+        assert got == _reference_greedy(graph, part, heuristic)
+
+
+def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
+    # a 2000-variable path in one stage: the plain greedy rescores every
+    # remaining vertex on each pick, about n^2 / 2 fill counts
+    n = 2000
+    xs = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(n)]
+    graph = MoralGraph(tuple(xs), frozenset(frozenset(p) for p in zip(xs, xs[1:])))
+    part = TemporalPartition.from_variables(xs)
+    calls = 0
+    fill_count = compiler._fill_count
+
+    def counting(adj, v):
+        nonlocal calls
+        calls += 1
+        return fill_count(adj, v)
+
+    monkeypatch.setattr(compiler, "_fill_count", counting)
+    for heuristic in ("min-fill", "min-weight"):
+        calls = 0
+        order = strong_elimination_order(graph, part, heuristic=heuristic)
+        assert len(order.sequence) == n
+        assert calls <= 3 * n
+
+
 # ---------------------------------------------------------------------------
 # triangulate
 
@@ -226,6 +317,31 @@ def test_cliques_match_brute_force_enumeration_on_random_graphs():
         expected = _brute_force_maximal_cliques(tri)
         got = {c.members for c in cliques_of(tri, order)}
         assert got == expected
+
+
+def _pairwise_maximal(graph, order):
+    """The elimination cliques minus those strictly inside another, pair by pair."""
+    adj = graph.adjacency()
+    elim = []
+    for v in order.sequence:
+        elim.append(frozenset(adj[v] | {v}))
+        for w in adj.pop(v):
+            adj[w].discard(v)
+    return {c for c in elim if not any(c < d for d in elim)}
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
+def test_cliques_match_the_pairwise_filter_and_networkx(heuristic):
+    nx = pytest.importorskip("networkx")
+    for i in range(200):
+        model = random_model(i, structural_zeros=i % 2 == 1)
+        _, order, _, _, tri = compile_diagram(model, heuristic=heuristic)
+        got = [c.members for c in cliques_of(tri, order)]
+        assert len(set(got)) == len(got)
+        assert set(got) == _pairwise_maximal(tri, order)
+        g = nx.Graph(tuple(e) for e in tri.edges)
+        g.add_nodes_from(tri.vertices)
+        assert set(got) == set(nx.chordal_graph_cliques(g))
 
 
 def test_cliques_of_rejects_non_perfect_order():
@@ -399,11 +515,49 @@ def test_junction_check_agrees_with_networkx_on_rewired_golden_trees(golden):
     assert rewired > 0
 
 
+def _pairwise_running_intersection(tree):
+    """Indices of the cliques whose separator fits no lower-index clique, pair by pair."""
+    out, earlier = [], set()
+    for c in tree.cliques:
+        if c.index != tree.root:
+            sep = c.members & earlier
+            if not any(d.index < c.index and sep <= d.members for d in tree.cliques):
+                out.append(c.index)
+        earlier |= c.members
+    return out
+
+
+def _running_intersection(tree):
+    problems = [p.message for p in verify_strong(tree) if p.kind == "running-intersection"]
+    return [int(m.split()[3]) for m in problems]
+
+
+def test_running_intersection_matches_the_pairwise_scan(golden):
+    tree, _, _ = _golden_tree(golden)
+    trees = [tree]
+    for child in tree.parent:
+        below = _subtree(tree, child)
+        for c in tree.cliques:
+            if c.index not in below:
+                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1))
+    for seed in range(30):
+        trees.append(compile_diagram(random_model(seed + 900))[0])
+    flagged = 0
+    for t in trees:
+        for cliques in (t.cliques, t.cliques[::-1], t.cliques[1::2] + t.cliques[::2]):
+            shuffled = StrongJunctionTree(cliques, t.parent, t.root)
+            expected = _pairwise_running_intersection(shuffled)
+            assert _running_intersection(shuffled) == expected
+            flagged += bool(expected)
+    assert flagged > 0
+
+
 def test_verify_strong_accepts_a_3000_clique_path():
     xs = [chance_var(f"x{i}", ("0", "1"), 0) for i in range(3001)]
     cliques = tuple(Clique(frozenset({xs[i - 1], xs[i]}), i) for i in range(1, 3001))
     tree = StrongJunctionTree(cliques, {i: i - 1 for i in range(2, 3001)}, 1)
     assert verify_strong(tree) == []
+    assert build_strong_tree(cliques).parent == tree.parent
 
 
 # ---------------------------------------------------------------------------
