@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Walk the four-decision golden model through the whole pipeline.
 
-Shows the moral graph size, the fill-ins of the reference elimination
-sequence, the indexed cliques, the tree links, the MEU, and each decision's
-policy clique and requisite past.  Optionally dumps DOT files.
+Prints the CLI report for the reference elimination sequence: the indexed
+cliques with their tree links, the MEU, each decision's policy table, and
+the fill-ins and table sizes.  Optionally dumps DOT files.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-from idjt import compile_diagram, parse_model, solve
-from idjt.compiler import moral_to_dot, tree_to_dot, triangulated_to_dot
+from idjt.cli import RunConfig, run
 
 SEQUENCE = ["l", "j", "k", "i", "h", "a", "c", "d", "D4", "g", "D3", "D2", "f", "e", "D1", "b"]
 
@@ -23,36 +23,16 @@ def main() -> int:
     parser.add_argument("--dot-dir", help="write moral/tri/tree DOT files here")
     args = parser.parse_args()
 
-    model = parse_model(Path(args.model).read_text())
-    given = [model.var(n) for n in SEQUENCE]
-    tree, order, fills, moral, tri = compile_diagram(model, given=given)
-    result = solve(tree, model)
-
-    print(f"variables: {len(model.variables)}  moral edges: {len(moral.edges)}")
-    print(f"elimination: {' '.join(v.name for v in order.sequence)}")
-    print(f"fill-ins ({len(fills)}):")
-    for e in sorted(tuple(sorted(v.name for v in f)) for f in fills):
-        print(f"  {e[0]} -- {e[1]}")
-    print("cliques:")
-    for c in tree.cliques:
-        link = f" -> C{tree.parent[c.index]}" if c.index in tree.parent else " (root)"
-        print(f"  C{c.index}: {{{', '.join(c.names())}}}{link}")
-    print(f"MEU {result.meu:.12g}")
-    for pol in result.policies:
-        dom = ", ".join(v.name for v in pol.domain) or "none"
-        print(
-            f"policy {pol.decision.name}: clique C{result.policy_clique[pol.decision.name]}, "
-            f"requisite past: {dom}"
-        )
-
+    dot = {}
     if args.dot_dir:
         out = Path(args.dot_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "moral.dot").write_text(moral_to_dot(moral))
-        (out / "triangulated.dot").write_text(triangulated_to_dot(tri, fills))
-        (out / "tree.dot").write_text(tree_to_dot(tree))
-        print(f"wrote DOT files to {out}")
-    return 0
+        files = {"moral": "moral.dot", "tri": "triangulated.dot", "tree": "tree.dot"}
+        dot = {target: str(out / name) for target, name in files.items()}
+    config = RunConfig(args.model, order=SEQUENCE, policies=True, stats=True, dot=dot)
+    code, report = run(config)
+    sys.stdout.write(report)
+    return code
 
 
 if __name__ == "__main__":

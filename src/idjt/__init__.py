@@ -23,9 +23,6 @@ from .compiler import (
     verify_strong,
 )
 from .model import (
-    AFTER,
-    BEFORE,
-    UNORDERED,
     InfluenceDiagram,
     ParseError,
     TemporalPartition,
@@ -36,7 +33,6 @@ from .model import (
     decision_var,
     diagrams_equal,
     parse_model,
-    precedes,
     validate,
     write_model,
 )

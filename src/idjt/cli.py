@@ -1,7 +1,8 @@
 """Command-line entry point: parse, compile, solve, report.
 
-Exit codes: 0 success, 1 validation failure, 2 syntax error, 3 internal
-invariant breach, 4 oracle disagreement under ``--check``.
+Exit codes: 0 success, 1 validation failure, 2 syntax error, bad flag, or
+unreadable input or unwritable DOT path, 3 internal invariant breach, 4
+oracle disagreement under ``--check``.
 """
 
 from __future__ import annotations
@@ -149,10 +150,23 @@ def run(config: RunConfig) -> tuple[int, str]:
             content = compiler.triangulated_to_dot(tri, fills)
         else:
             content = compiler.tree_to_dot(tree)
-        Path(path).write_text(content, encoding="utf-8")
+        try:
+            Path(path).write_text(content, encoding="utf-8")
+        except OSError as e:
+            emit(f"error: cannot write {path}: {e}")
+            return 2, out.getvalue()
         emit(f"wrote {target} dot: {path}")
 
     return code, out.getvalue()
+
+
+def _dot_spec(spec: str) -> tuple[str, str]:
+    target, _, path = spec.partition("=")
+    if target not in ("moral", "tri", "tree") or not path:
+        raise argparse.ArgumentTypeError(
+            f"bad --dot argument {spec!r} (want moral|tri|tree=PATH)"
+        )
+    return target, path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--dot",
         action="append",
         default=[],
+        type=_dot_spec,
         metavar="TARGET=PATH",
         help="write DOT output; TARGET is moral, tri, or tree (repeatable)",
     )
@@ -179,17 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    dot = {}
-    for spec in args.dot:
-        target, _, path = spec.partition("=")
-        if target not in ("moral", "tri", "tree") or not path:
-            raise SystemExit(f"error: bad --dot argument {spec!r} (want moral|tri|tree=PATH)")
-        dot[target] = path
     return RunConfig(
         input_path=args.file,
         order=args.order.split(",") if args.order else None,
         heuristic=args.heuristic,
-        dot=dot,
+        dot=dict(args.dot),
         policies=args.policies,
         stats=args.stats,
         check=args.check,

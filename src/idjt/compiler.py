@@ -15,7 +15,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations, takewhile
+from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
 from .model import InfluenceDiagram, TemporalPartition, Variable, Violation
@@ -219,55 +219,45 @@ class Clique:
 def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
     """Maximal cliques of a graph the order eliminates with zero fill-ins.
 
-    Eliminating u creates the clique E_u = {u} plus u's current neighbourhood.
-    With v the first-eliminated of those neighbours, E_v is not maximal
-    exactly when some such u has |E_u| = |E_v| + 1 (the elimination-tree test
-    of Blair & Peyton); every other E_v is a distinct maximal clique.  A
-    clique's index is the number of the highest-numbered member v whose
-    lower-numbered co-members all neighbor some lower-numbered outside vertex
-    (the elimination step at which the clique stops being maximal in the
-    remaining graph); cliques with no such member get index 1, and only one
-    clique may.
+    Eliminating v creates the clique E_v = {v} plus v's later neighbours (those
+    with a lower number).  With up(v) the first-eliminated of them, the order
+    is perfect exactly when each E_v minus {v, up(v)} lies in up(v)'s
+    neighbourhood (the follower test of Tarjan & Yannakakis).  E_w is not
+    maximal exactly when some u with up(u) = w has |E_u| = |E_w| + 1 (the
+    elimination-tree test of Blair & Peyton); the last-eliminated such u is
+    w's heir, and every other E_v is a distinct maximal clique.
+
+    A clique's index is the step at which it stops being maximal in the
+    remaining graph.  E_y outlives the elimination of y exactly when
+    E_y \\ {y} = E_up(y) and y is up(y)'s heir: any other vertex adjacent to
+    all of E_up(y) would be a later-eliminated child of up(y) of that size.
+    So from each maximal E_v the walk y <- up(y) while y is up(y)'s heir ends
+    at the clique's index alpha(y), at 1 for the root clique.  The heir chains
+    are disjoint, so the indices are distinct and the walks take linear time.
     """
     adj = graph.adjacency()
     alpha = order.alpha
-    elim: dict[Variable, frozenset[Variable]] = {}
+    later = {v: [w for w in adj[v] if alpha[w] < alpha[v]] for v in order.sequence}
     up: dict[Variable, Variable] = {}
-    work = {v: set(ns) for v, ns in adj.items()}
+    heir: dict[Variable, Variable] = {}
     for v in order.sequence:
-        nbrs = work[v]
-        for a, b in combinations(nbrs, 2):
-            if b not in work[a]:
+        if later[v]:
+            p = up[v] = max(later[v], key=alpha.__getitem__)
+            if any(w != p and w not in adj[p] for w in later[v]):
                 raise CompileError(
                     f"order does not perfectly eliminate the graph (gap at {v.name!r})"
                 )
-        elim[v] = frozenset(nbrs | {v})
-        if nbrs:
-            up[v] = max(nbrs, key=alpha.__getitem__)
-        for nb in nbrs:
-            work[nb].discard(v)
-        del work[v]
+            if len(later[v]) == len(later[p]) + 1:
+                heir[p] = v
 
-    absorbed = {w for u, w in up.items() if len(elim[u]) == len(elim[w]) + 1}
-    maximal = [c for v, c in elim.items() if v not in absorbed]
-
-    def index_of(c: frozenset[Variable]) -> int:
-        best = 0
-        for v in c:
-            av = alpha[v]
-            if av <= best:
-                continue
-            below = [w for w in c if alpha[w] < av]
-            # an outside u that neighbors all of ``below`` neighbors below[0]
-            for u in adj[below[0]] if below else graph.vertices:
-                if u in c or alpha[u] >= av:
-                    continue
-                if all(w in adj[u] for w in below):
-                    best = av
-                    break
-        return best if best else 1
-
-    cliques = sorted((Clique(c, index_of(c)) for c in maximal), key=lambda c: c.index)
+    cliques = []
+    for v in order.sequence:
+        if v not in heir:
+            y = v
+            while y in up and heir.get(up[y]) == y:
+                y = up[y]
+            cliques.append(Clique(frozenset(later[v]).union((v,)), alpha[y]))
+    cliques.sort(key=lambda c: c.index)
     indices = [c.index for c in cliques]
     if len(set(indices)) != len(indices):
         dup = next(i for i in indices if indices.count(i) > 1)
@@ -314,26 +304,27 @@ class StrongJunctionTree:
         return frozenset(out)
 
 
-def _lowest_holders(
-    cliques: Iterable[Clique], queries: Sequence[tuple[frozenset[Variable], int]]
+def lowest_holders(
+    cliques: Iterable[Clique], queries: Sequence[tuple[frozenset[Variable], float]]
 ) -> list[Clique | None]:
-    """For each (separator, index) query, the lowest-index clique below that
-    index holding the separator, or None.
+    """For each (domain, bound) query, the lowest-index clique with an index
+    below the bound that holds the domain, or None.
 
-    Only the cliques holding the separator member with the fewest holders are
-    scanned, in index order; an empty separator is held by the lowest-index
-    clique.
+    Only the cliques holding the domain member with the fewest holders are
+    scanned, in index order; an empty domain is held by the lowest-index
+    clique.  Holders are looked up by name, whose hash is cached; the subset
+    test compares whole variables, so a name clash only widens the scan.
     """
     by_index = sorted(cliques, key=lambda c: c.index)
-    holding: dict[Variable, list[Clique]] = {}
+    holding: dict[str, list[Clique]] = {}
     for c in by_index:
         for v in c.members:
-            holding.setdefault(v, []).append(c)
+            holding.setdefault(v.name, []).append(c)
     out: list[Clique | None] = []
-    for sep, index in queries:
-        pool = min((holding[v] for v in sep), key=len, default=by_index)
-        below = takewhile(lambda d: d.index < index, pool)
-        out.append(next((d for d in below if sep <= d.members), None))
+    for domain, bound in queries:
+        pool = min((holding.get(v.name, ()) for v in domain), key=len, default=by_index)
+        first = next((d for d in pool if domain <= d.members), None)
+        out.append(first if first is not None and first.index < bound else None)
     return out
 
 
@@ -348,7 +339,7 @@ def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
         queries.append((c.members & earlier, c.index))
         earlier |= c.members
     parent: dict[int, int] = {}
-    for c, holder in zip(ordered[1:], _lowest_holders(ordered, queries)):
+    for c, holder in zip(ordered[1:], lowest_holders(ordered, queries)):
         if holder is None:
             raise CompileError(f"running intersection violated at clique {c.index}")
         parent[c.index] = holder.index
@@ -405,7 +396,7 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
         if c.index != tree.root:
             queries.append((c.members & earlier, c.index))
         earlier |= c.members
-    for (_, index), holder in zip(queries, _lowest_holders(tree.cliques, queries)):
+    for (_, index), holder in zip(queries, lowest_holders(tree.cliques, queries)):
         if holder is None:
             out.append(
                 Violation(

@@ -36,10 +36,6 @@ from .tables import Table
 CHANCE = "chance"
 DECISION = "decision"
 
-BEFORE = "before"
-AFTER = "after"
-UNORDERED = "unordered"
-
 ROW_SUM_TOL = 1e-9
 
 _KEYWORDS = frozenset(
@@ -127,23 +123,6 @@ class TemporalPartition:
         return frozenset(members)
 
 
-def precedes(u: Variable, v: Variable, partition: TemporalPartition) -> str:
-    """Temporal comparison of two variables: BEFORE, AFTER, or UNORDERED.
-
-    Variables of the same information set are unordered; everything else is
-    totally ordered by rank.
-    """
-    known = partition.variables
-    for w in (u, v):
-        if w not in known:
-            raise KeyError(f"unknown variable {w.name!r}")
-    if u.rank < v.rank:
-        return BEFORE
-    if u.rank > v.rank:
-        return AFTER
-    return UNORDERED
-
-
 @dataclass(frozen=True)
 class Utility:
     """One additive utility term: a real table over its declared domain."""
@@ -225,6 +204,8 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     deliberately broken diagrams.
     """
     out: list[Violation] = []
+    if not diagram.variables:
+        out.append(Violation("model", "the model declares no variables"))
     seen_names: set[str] = set()
     for v in diagram.variables:
         if v.name in seen_names:

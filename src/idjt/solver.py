@@ -17,12 +17,13 @@ the moment the step runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import StrongJunctionTree
-from .model import InfluenceDiagram, Variable
+from .compiler import StrongJunctionTree, lowest_holders
+from .model import InfluenceDiagram, Utility, Variable
 from .tables import Table, add, argmax_over, extend, marg_all, multiply
 
 CONSTANCY_TOL = 1e-9
@@ -96,23 +97,19 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     so globally the tree still represents the model's joint and total utility.
     """
     states = {c.index: CliqueState(Table.unit(), Table.null()) for c in tree.cliques}
-    ordered = sorted(tree.cliques, key=lambda c: c.index)
-
-    def host(domain: set[Variable], what: str) -> int:
-        for c in ordered:
-            if domain <= c.members:
-                return c.index
-        names = sorted(v.name for v in domain)
-        raise InvariantError(f"no clique contains the {what} {names}")
-
-    for v in diagram.chance_variables:
-        k = host(set(diagram.family(v)), f"family of {v.name!r}")
-        st = states[k]
-        st.phi = multiply(st.phi, diagram.cpts[v.name])
-    for u in diagram.utilities:
-        k = host(set(u.domain), f"domain of utility {u.name!r}")
-        st = states[k]
-        st.psi = add(st.psi, u.table)
+    factors = [*diagram.chance_variables, *diagram.utilities]
+    domains = [f.domain if isinstance(f, Utility) else diagram.family(f) for f in factors]
+    hosts = lowest_holders(tree.cliques, [(frozenset(d), math.inf) for d in domains])
+    for f, domain, host in zip(factors, domains, hosts):
+        if host is None:
+            what = "domain of utility" if isinstance(f, Utility) else "family of"
+            names = sorted(v.name for v in domain)
+            raise InvariantError(f"no clique contains the {what} {f.name!r} {names}")
+        st = states[host.index]
+        if isinstance(f, Utility):
+            st.psi = add(st.psi, f.table)
+        else:
+            st.phi = multiply(st.phi, diagram.cpts[f.name])
     return SolveRun(tree, diagram, states)
 
 

@@ -66,6 +66,15 @@ def test_non_finite_cpt_exits_one(tmp_path):
     assert "MEU" not in report
 
 
+def test_model_without_variables_exits_one(tmp_path):
+    empty = tmp_path / "empty.idm"
+    empty.write_text("# nothing but a comment\n")
+    code, report = run(_solve_args(empty))
+    assert code == 1
+    assert "model: the model declares no variables" in report
+    assert "internal invariant breach" not in report
+
+
 def test_syntax_error_exits_two(tmp_path):
     bad = tmp_path / "bad.idm"
     bad.write_text("chance a states stage 0\n")
@@ -105,6 +114,23 @@ def test_dot_files_written(tmp_path):
     assert targets["moral"].read_text().startswith("graph moral {")
     assert "style=dashed" in targets["tri"].read_text()
     assert targets["tree"].read_text().startswith("digraph junction_tree {")
+
+
+def test_bad_dot_spec_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["solve", "m.idm", "--dot", "foo=x.dot"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "bad --dot argument 'foo=x.dot'" in err
+
+
+def test_unwritable_dot_path_exits_two_after_the_report(tmp_path):
+    path = tmp_path / "missing" / "x.dot"
+    code, report = run(_solve_args(MODELS / "tiny.idm", "--dot", f"tree={path}"))
+    assert code == 2
+    assert "MEU 6\n" in report
+    assert report.splitlines()[-1].startswith(f"error: cannot write {path}: ")
 
 
 def test_policies_flag_prints_tables():

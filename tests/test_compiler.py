@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -16,6 +17,7 @@ from idjt import (
     chance_var,
     cliques_of,
     compile_diagram,
+    initialize,
     moralize,
     parse_model,
     strong_elimination_order,
@@ -356,6 +358,164 @@ def test_cliques_of_rejects_non_perfect_order():
     graph = MoralGraph((a, b, c, d), edges)
     with pytest.raises(CompileError, match="perfectly eliminate"):
         cliques_of(graph, EliminationOrder((a, b, c, d)))
+
+
+def _reference_cliques_of(graph, order):
+    """The earlier cliques_of: re-simulate the elimination, then search each index.
+
+    A clique's index is the number of its highest-numbered member v whose
+    lower-numbered co-members all neighbour some lower-numbered outside vertex,
+    or 1 if no member qualifies.
+    """
+    adj = graph.adjacency()
+    alpha = order.alpha
+    elim, up = {}, {}
+    work = {v: set(ns) for v, ns in adj.items()}
+    for v in order.sequence:
+        nbrs = work[v]
+        for a, b in itertools.combinations(nbrs, 2):
+            if b not in work[a]:
+                raise CompileError(
+                    f"order does not perfectly eliminate the graph (gap at {v.name!r})"
+                )
+        elim[v] = frozenset(nbrs | {v})
+        if nbrs:
+            up[v] = max(nbrs, key=alpha.__getitem__)
+        for nb in nbrs:
+            work[nb].discard(v)
+        del work[v]
+    absorbed = {w for u, w in up.items() if len(elim[u]) == len(elim[w]) + 1}
+
+    def index_of(c):
+        best = 0
+        for v in c:
+            av = alpha[v]
+            if av <= best:
+                continue
+            below = [w for w in c if alpha[w] < av]
+            for u in adj[below[0]] if below else graph.vertices:
+                if u in c or alpha[u] >= av:
+                    continue
+                if all(w in adj[u] for w in below):
+                    best = av
+                    break
+        return best if best else 1
+
+    cliques = [Clique(c, index_of(c)) for v, c in elim.items() if v not in absorbed]
+    return sorted(cliques, key=lambda c: c.index)
+
+
+def _pairs(cliques):
+    return [(c.members, c.index) for c in cliques]
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
+def test_cliques_match_the_reference_on_compiled_graphs(golden_model, heuristic):
+    for graph, part in _order_cases(golden_model):
+        order = strong_elimination_order(graph, part, heuristic=heuristic)
+        tri, _ = triangulate(graph, order)
+        assert _pairs(cliques_of(tri, order)) == _pairs(_reference_cliques_of(tri, order))
+
+
+def test_cliques_match_the_reference_on_golden_with_the_reference_order(golden):
+    order, graph, _, _ = _golden_order(golden)
+    tri, _ = triangulate(graph, order)
+    assert _pairs(cliques_of(tri, order)) == _pairs(_reference_cliques_of(tri, order))
+
+
+def _outcome(find, graph, order):
+    try:
+        return _pairs(find(graph, order))
+    except CompileError:
+        return None
+
+
+def test_cliques_match_the_reference_under_arbitrary_orders():
+    rng = random.Random(4)
+    disconnected = raised = 0
+    for _ in range(3000):
+        n = rng.randint(1, 11)
+        vs = [chance_var(f"v{i}", ("0", "1"), 0) for i in range(n)]
+        p = rng.random()
+        edges = frozenset(
+            frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
+        )
+        graph = MoralGraph(tuple(vs), edges)
+        order = EliminationOrder(tuple(rng.sample(vs, n)))
+        tri, _ = triangulate(graph, order)
+        expected = _reference_cliques_of(tri, order)
+        assert _pairs(cliques_of(tri, order)) == _pairs(expected)
+        # a clique sharing nothing with the lower-index ones starts a component
+        starts = sum(
+            1 for k, c in enumerate(expected) if not any(c.members & d.members for d in expected[:k])
+        )
+        disconnected += starts > 1
+        # the untriangulated graph: both raise, or both return the same cliques
+        raw = _outcome(cliques_of, graph, order)
+        assert raw == _outcome(_reference_cliques_of, graph, order)
+        raised += raw is None
+    assert disconnected > 0 and raised > 0
+
+
+def test_star_indices_follow_the_leaves():
+    # leaves first, hub last: leaf i stops being maximal when it is eliminated,
+    # except the last leaf, whose clique is the root
+    n = 6001
+    hub = chance_var("hub", ("0", "1"), 0)
+    leaves = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(1, n)]
+    graph = MoralGraph((*leaves, hub), frozenset(frozenset((x, hub)) for x in leaves))
+    cliques = cliques_of(graph, EliminationOrder((*leaves, hub)))
+    got = {c.index: c.members for c in cliques}
+    assert len(got) == n - 1
+    for i, x in enumerate(leaves[:-1], start=1):
+        assert got[n + 1 - i] == {x, hub}
+    assert got[1] == {leaves[-1], hub}
+
+
+def _compiled_draws():
+    for i in range(200):
+        model = random_model(i, structural_zeros=i % 2 == 1)
+        tree, order, _, _, tri = compile_diagram(model)
+        yield model, tree, order, tri
+
+
+def test_initialize_hosts_like_a_linear_scan():
+    for model, tree, _, _ in _compiled_draws():
+        run = initialize(tree, model)
+
+        def scan(domain):
+            return next(c.index for c in tree.cliques if set(domain) <= c.members)
+
+        hosted = {k: ([], []) for k in run.states}
+        for v in model.chance_variables:
+            hosted[scan(model.family(v))][0].append(v)
+        for u in model.utilities:
+            hosted[scan(u.domain)][1].append(u)
+        for k, (cpts, utilities) in hosted.items():
+            want_phi = set().union(*(model.family(v) for v in cpts))
+            want_psi = set().union(*(u.domain for u in utilities))
+            assert set(run.states[k].phi.domain) == want_phi
+            assert set(run.states[k].psi.domain) == want_psi
+
+
+def test_tree_links_follow_the_elimination_tree():
+    # the walk of a clique covers its members numbered at or above its index;
+    # the clique ending at y hangs below the clique whose walk holds up(y)
+    for _, tree, order, tri in _compiled_draws():
+        alpha = order.alpha
+        adj = tri.adjacency()
+        walks = [(v, c.index) for c in tree.cliques for v in c.members if alpha[v] >= c.index]
+        owner = dict(walks)
+        assert len(owner) == len(walks) == len(alpha)  # every vertex on exactly one walk
+        by_number = {a: v for v, a in alpha.items()}
+        expected = {}
+        for c in tree.cliques:
+            later = [w for w in adj[by_number[c.index]] if alpha[w] < c.index]
+            if later:
+                expected[c.index] = owner[max(later, key=alpha.__getitem__)]
+            elif c.index != tree.root:
+                expected[c.index] = tree.root  # empty separator
+        assert tree.parent == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,9 @@
 """Parsing, serialization round-trips, semantic validation, temporal order."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from idjt import (
-    AFTER,
-    BEFORE,
-    UNORDERED,
     InfluenceDiagram,
     ParseError,
     TemporalPartition,
@@ -18,7 +13,6 @@ from idjt import (
     decision_var,
     diagrams_equal,
     parse_model,
-    precedes,
     validate,
     write_model,
 )
@@ -290,36 +284,14 @@ def test_validate_accepts_a_5000_variable_chain():
 
 
 # ---------------------------------------------------------------------------
-# precedes
+# temporal rank
 
 
 def test_precedes_on_the_four_decision_partition(golden):
     _, vs = golden
-    part = TemporalPartition.from_variables(vs.values())
-    assert precedes(vs["b"], vs["D1"], part) == BEFORE
-    assert precedes(vs["e"], vs["f"], part) == UNORDERED
-    assert precedes(vs["g"], vs["D3"], part) == AFTER
-
-
-def test_precedes_unknown_variable():
-    part = TemporalPartition.from_variables([chance_var("a", ("0", "1"), 0)])
-    with pytest.raises(KeyError):
-        precedes(chance_var("zz", ("0", "1"), 0), chance_var("a", ("0", "1"), 0), part)
-
-
-def test_precedes_is_a_strict_partial_order(golden_model):
-    part = golden_model.partition
-    vs = list(golden_model.variables)
-    for u in vs:
-        assert precedes(u, u, part) == UNORDERED  # irreflexive
-    for u, v in itertools.permutations(vs, 2):
-        uv = precedes(u, v, part)
-        vu = precedes(v, u, part)
-        if uv == BEFORE:
-            assert vu == AFTER  # antisymmetric
-    for u, v, w in itertools.permutations(vs, 3):
-        if precedes(u, v, part) == BEFORE and precedes(v, w, part) == BEFORE:
-            assert precedes(u, w, part) == BEFORE  # transitive
+    assert vs["b"].rank < vs["D1"].rank
+    assert vs["e"].rank == vs["f"].rank
+    assert vs["g"].rank > vs["D3"].rank
 
 
 def test_no_path_from_decision_into_its_past(golden_model):

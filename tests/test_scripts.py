@@ -1,0 +1,41 @@
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).parents[1]
+
+
+def _run_script(name, *args):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_compile_golden_prints_the_cli_report_and_writes_dot(tmp_path):
+    out = _run_script("compile_golden.py", "--dot-dir", str(tmp_path / "dot"))
+    assert out.returncode == 0, out.stderr
+    for line in [
+        "elimination: l j k i h a c d D4 g D3 D2 f e D1 b",
+        "  C1: D1, b, d, e, f (root)",
+        "  C16: D4, i, l -> C8 [sep: D4, i]",
+        "policy D4 (clique C8, domain: D2, g)",
+        "fill-ins: 9",
+    ]:
+        assert line + "\n" in out.stdout, line
+    assert "\nMEU " in out.stdout
+    for name in ("moral", "triangulated", "tree"):
+        assert (tmp_path / "dot" / f"{name}.dot").read_text().rstrip().endswith("}")
+
+
+def test_oracle_sweep_agrees_on_five_models():
+    out = _run_script("oracle_sweep.py", "--models", "5")
+    assert out.returncode == 0, out.stderr
+    assert "models: 5  heuristic: min-fill" in out.stdout
+    assert out.stdout.endswith("agreement\n")

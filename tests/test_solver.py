@@ -65,6 +65,14 @@ def test_assignment_goes_to_lowest_index_clique(golden_model):
     assert set(run.states[1].phi.domain) >= set(golden_model.family(golden_model.var("b")))
 
 
+def test_initialize_names_the_factor_no_clique_holds(tiny_model):
+    x, d = tiny_model.var("x"), tiny_model.var("D")
+    cliques = (Clique(frozenset({x}), 1), Clique(frozenset({d}), 2))
+    tree = StrongJunctionTree(cliques, {2: 1}, 1)
+    with pytest.raises(InvariantError, match=r"no clique contains the family of 'x' \['D', 'x'\]"):
+        initialize(tree, tiny_model)
+
+
 def test_no_utilities_means_zero_meu():
     model = parse_model(
         "decision D states u v index 1\nchance x states 0 1 stage 1\n"
