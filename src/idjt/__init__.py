@@ -25,7 +25,6 @@ from .compiler import (
 from .model import (
     InfluenceDiagram,
     ParseError,
-    TemporalPartition,
     Utility,
     Variable,
     Violation,

@@ -97,7 +97,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 3, out.getvalue()
 
     emit(f"model: {config.input_path}")
-    emit(f"variables: {len(diagram.variables)}  decisions: {diagram.partition.n}")
+    emit(f"variables: {len(diagram.variables)}  decisions: {len(diagram.decisions)}")
     emit(f"elimination: {' '.join(v.name for v in order.sequence)}")
     emit(f"cliques: {len(tree.cliques)}")
     for c in tree.cliques:

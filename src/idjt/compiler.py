@@ -1,7 +1,8 @@
 """Compilation of an influence diagram into a strong junction tree.
 
 The pipeline: moralize the diagram, pick an elimination order whose reverse
-extends the temporal order to a total order, triangulate by simulated
+extends the temporal order to a total order (eliminating the vertices of
+each ``Variable.rank`` together, highest rank first), triangulate by simulated
 elimination, read off the maximal cliques with their indices, and attach each
 clique to the lowest-index clique containing its separator.  The resulting
 rooted tree lets sum- and max-marginalizations interleave soundly during the
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Literal, Sequence
 
-from .model import InfluenceDiagram, TemporalPartition, Variable, Violation
+from .model import InfluenceDiagram, Variable, Violation
 
 
 class CompileError(Exception):
@@ -131,25 +132,24 @@ def _clique_weight(adj: dict[Variable, set[Variable]], v: Variable) -> int:
 
 def strong_elimination_order(
     graph: MoralGraph,
-    partition: TemporalPartition,
     heuristic: Heuristic | None = "min-fill",
     given: Sequence[Variable] | None = None,
 ) -> EliminationOrder:
-    """Choose an elimination order blocked by stage, latest stage first.
+    """Choose an elimination order blocked by rank, highest rank first.
 
-    Within an information set the heuristic greedily picks the next vertex on
-    the evolving (partially eliminated, fill-completed) graph, ranking
-    candidates by (fill count, clique weight, name) under min-fill and by
-    (clique weight, fill count, name) under min-weight.  A ``given`` sequence
-    bypasses the heuristic but is still checked against the stage constraint.
+    The vertices sharing one rank form a temporal block: the chance variables
+    of one observation stage, or a single decision.  Within a block the
+    heuristic greedily picks the next vertex on the evolving (partially
+    eliminated, fill-completed) graph, ranking candidates by (fill count,
+    clique weight, name) under min-fill and by (clique weight, fill count,
+    name) under min-weight.  A ``given`` sequence bypasses the heuristic but
+    is still checked against the stage constraint.
 
     Each block member is scored once and kept in a heap.  Eliminating v
     changes only the scores of v's neighbours (their neighbourhood changed)
     and of the common neighbours of each fill edge (a, b) (one missing pair
     fewer), so only those are rescored; stale heap entries are skipped.
     """
-    if set(graph.vertices) != set(partition.variables):
-        raise OrderError("graph and partition disagree on the variable set")
     if given is not None:
         if set(given) != set(graph.vertices):
             raise OrderError("given sequence is not a permutation of the variables")
@@ -162,14 +162,11 @@ def strong_elimination_order(
         return (weight, fill, v.name) if heuristic == "min-weight" else (fill, weight, v.name)
 
     sequence: list[Variable] = []
-    blocks: list[Iterable[Variable]] = []
-    n = partition.n
-    for k, info in enumerate(partition.information_sets):
-        blocks.append(info)
-        if k < n:
-            blocks.append([partition.decision_order[k]])
-    for block in reversed(blocks):
-        scores = {v: score(v) for v in block}
+    blocks: dict[int, list[Variable]] = {}
+    for v in graph.vertices:
+        blocks.setdefault(v.rank, []).append(v)
+    for rank in sorted(blocks, reverse=True):
+        scores = {v: score(v) for v in blocks[rank]}
         heap = [(key, v) for v, key in scores.items()]
         heapq.heapify(heap)
         while scores:
@@ -428,7 +425,7 @@ def compile_diagram(
 ):
     """Full pipeline from a valid diagram to a verified strong junction tree."""
     moral = moralize(diagram)
-    order = strong_elimination_order(moral, diagram.partition, heuristic, given)
+    order = strong_elimination_order(moral, heuristic, given)
     tri, fills = triangulate(moral, order)
     cliques = cliques_of(tri, order)
     tree = build_strong_tree(cliques)

@@ -1,4 +1,4 @@
-"""Influence diagram model: variables, temporal structure, parsing, validation.
+"""Influence diagram model: variables, temporal order, parsing, validation.
 
 A model is a DAG of discrete chance variables (each with a CPT given its
 parents, which may include decision variables), a set of decision variables
@@ -6,7 +6,9 @@ ordered by index, and additive utility potentials.  Chance variables are
 grouped into observation stages: stage k holds the variables revealed between
 decisions k and k+1 (stage 0 before the first decision, the last stage never
 observed).  Stages and decision indices induce the temporal order used
-throughout compilation and solving.
+throughout compilation and solving; ``Variable.rank`` is its only record, and
+every temporal block (an observation stage or a single decision) is the set
+of variables sharing one rank.
 
 Model file grammar (UTF-8, line oriented, ``#`` starts a comment, tokens
 whitespace separated)::
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -89,41 +91,6 @@ def decision_var(name: str, states: Iterable[str], index: int) -> Variable:
 
 
 @dataclass(frozen=True)
-class TemporalPartition:
-    """Observation stages and decision order of a diagram.
-
-    ``information_sets[k]`` is the set of chance variables in stage k; the
-    list covers every declared stage (at least stages 0..n for n decisions).
-    """
-
-    information_sets: tuple[frozenset[Variable], ...]
-    decision_order: tuple[Variable, ...]
-
-    @classmethod
-    def from_variables(cls, variables: Iterable[Variable]) -> "TemporalPartition":
-        variables = list(variables)
-        decisions = sorted((v for v in variables if v.is_decision), key=lambda v: (v.rank, v.name))
-        n = len(decisions)
-        chance = [v for v in variables if not v.is_decision]
-        top = max([n] + [v.stage for v in chance])
-        sets = [set() for _ in range(top + 1)]
-        for v in chance:
-            sets[v.stage].add(v)
-        return cls(tuple(frozenset(s) for s in sets), tuple(decisions))
-
-    @property
-    def n(self) -> int:
-        return len(self.decision_order)
-
-    @property
-    def variables(self) -> frozenset[Variable]:
-        members = set(self.decision_order)
-        for s in self.information_sets:
-            members |= s
-        return frozenset(members)
-
-
-@dataclass(frozen=True)
 class Utility:
     """One additive utility term: a real table over its declared domain."""
 
@@ -138,11 +105,6 @@ class InfluenceDiagram:
     parents: Mapping[str, tuple[Variable, ...]]  # chance name -> parent list
     cpts: Mapping[str, Table]  # chance name -> table over (parents, child)
     utilities: tuple[Utility, ...]
-    partition: TemporalPartition = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.partition is None:
-            object.__setattr__(self, "partition", TemporalPartition.from_variables(self.variables))
 
     def var(self, name: str) -> Variable:
         for v in self.variables:
@@ -156,7 +118,9 @@ class InfluenceDiagram:
 
     @property
     def decisions(self) -> tuple[Variable, ...]:
-        return self.partition.decision_order
+        """Decisions in temporal order."""
+        decisions = (v for v in self.variables if v.is_decision)
+        return tuple(sorted(decisions, key=lambda v: (v.rank, v.name)))
 
     def family(self, v: Variable) -> tuple[Variable, ...]:
         """Parents of v followed by v itself."""
@@ -216,36 +180,20 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if len(set(v.states)) != len(v.states):
             out.append(Violation("states", f"variable {v.name!r} has duplicate state labels"))
 
-    p = diagram.partition
-    n = p.n
-    indices = sorted(v.stage for v in p.decision_order)
+    decisions = diagram.decisions
+    n = len(decisions)
+    indices = sorted(v.stage for v in decisions)
     if indices != list(range(1, n + 1)):
         out.append(
             Violation("decision-index", f"decision indices {indices} must be exactly 1..{n}")
         )
-    chance = set(diagram.chance_variables)
-    in_sets: set[Variable] = set()
-    for k, s in enumerate(p.information_sets):
-        overlap = in_sets & s
-        if overlap:
-            names = sorted(v.name for v in overlap)
-            out.append(Violation("partition", f"information sets overlap on {names}"))
-        in_sets |= s
-        if k > n and s:
-            names = sorted(v.name for v in s)
-            out.append(
-                Violation("stage", f"stage {k} exceeds decision count {n} (variables {names})")
-            )
-    if in_sets != chance:
-        missing = sorted(v.name for v in chance - in_sets)
-        extra = sorted(v.name for v in in_sets - chance)
-        out.append(
-            Violation(
-                "partition",
-                f"information sets must cover exactly the chance variables "
-                f"(missing {missing}, extra {extra})",
-            )
-        )
+    late: dict[int, set[Variable]] = {}
+    for v in diagram.chance_variables:
+        if v.stage > n:
+            late.setdefault(v.stage, set()).add(v)
+    for k in sorted(late):
+        names = sorted(v.name for v in late[k])
+        out.append(Violation("stage", f"stage {k} exceeds decision count {n} (variables {names})"))
 
     for v in diagram.variables:
         if v.is_decision and v.name in diagram.parents and diagram.parents[v.name]:
@@ -284,9 +232,14 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
                 )
             )
 
+    bound = 0.0  # bounds |total utility| over every configuration
     for u in diagram.utilities:
         if not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
+        else:
+            bound += float(np.max(np.abs(u.table.values), initial=0.0))
+    if not math.isfinite(bound):
+        out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
 
     # Kahn's cycle check over chance arcs plus decision->child arcs
     children = diagram.children()
@@ -300,10 +253,8 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     if len(ready) < len(children):
         out.append(Violation("cycle", "directed graph over the variables has a cycle"))
     else:
-        for d in p.decision_order:
-            k = d.stage
-            past = set().union(*p.information_sets[:k]) if k else set()
-            hit = _reachable(children, d) & past
+        for d in decisions:
+            hit = [x for x in _reachable(children, d) if x.rank < d.rank]
             for x in sorted(hit, key=lambda v: v.name):
                 out.append(
                     Violation(
@@ -538,8 +489,8 @@ def write_model(diagram: InfluenceDiagram) -> str:
 
 
 def diagrams_equal(a: InfluenceDiagram, b: InfluenceDiagram) -> bool:
-    """Structural equality: same variables, arcs, tables, and partition."""
-    if a.variables != b.variables or a.partition != b.partition:
+    """Structural equality: same variables, arcs, and tables."""
+    if a.variables != b.variables:
         return False
     if dict(a.parents) != dict(b.parents):
         return False

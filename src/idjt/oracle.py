@@ -61,15 +61,16 @@ class OracleResult:
     policies: dict[str, tuple[tuple[Variable, ...], dict[tuple[int, ...], int]]]
 
 
-def _blocks(diagram: InfluenceDiagram, order: list[Variable]) -> list[tuple[str, list[Variable]]]:
-    """Temporal blocks: alternating information sets and single decisions."""
-    blocks: list[tuple[str, list[Variable]]] = []
-    p = diagram.partition
-    for k, info in enumerate(p.information_sets):
-        if k > 0:
-            blocks.append(("decision", [p.decision_order[k - 1]]))
-        members = [v for v in order if v in info]
-        blocks.append(("info", members))
+def _blocks(order: list[Variable]) -> list[tuple[str, list[Variable]]]:
+    """Temporal blocks, one per rank from 0 up to the last stage's: the chance
+    variables of one stage at an even rank, a single decision at an odd one."""
+    top = max((v.rank for v in order), default=0)
+    top += top % 2  # the recursion ends on an info block, empty or not
+    blocks: list[tuple[str, list[Variable]]] = [
+        ("decision" if r % 2 else "info", []) for r in range(top + 1)
+    ]
+    for v in order:
+        blocks[v.rank][1].append(v)
     return blocks
 
 
@@ -81,10 +82,10 @@ class _Recursion:
         self.order = _temporal_order(diagram)
         self.joint = joint_probability(diagram, self.order)
         self.util = total_utility(diagram, self.order)
-        self.blocks = _blocks(diagram, self.order)
+        self.blocks = _blocks(self.order)
         self.axis = {v: i for i, v in enumerate(self.order)}
         self.policies: dict[str, tuple[tuple[Variable, ...], dict[tuple[int, ...], int]]] = {
-            d.name: (self._past_of(d), {}) for d in diagram.partition.decision_order
+            d.name: (self._past_of(d), {}) for d in diagram.decisions
         }
         self.chooser = None  # optional (decision, history vars, history) -> state index
 

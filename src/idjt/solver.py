@@ -183,7 +183,8 @@ def meu(run: SolveRun) -> float:
     """Contract the collected root to scalars and return the expected utility.
 
     The probability scalar must come out 1 (the joint sums to one for any
-    decision policy); the utility scalar is the maximum expected utility.
+    decision policy); the utility scalar is the maximum expected utility and
+    must be finite (large finite utilities can overflow along the way).
     """
     if run.root_scalar is None:
         live = run.live_indices()
@@ -195,7 +196,10 @@ def meu(run: SolveRun) -> float:
             raise InvariantError("model has zero total probability mass")
         if not abs(mass - 1.0) <= ROOT_MASS_TOL:  # NaN fails too
             raise InvariantError(f"root probability mass {mass!r} differs from 1")
-        run.root_scalar = (mass, float(psi0.values))
+        value = float(psi0.values)
+        if not math.isfinite(value):
+            raise InvariantError(f"expected utility {value!r} is not finite")
+        run.root_scalar = (mass, value)
     return run.root_scalar[1]
 
 

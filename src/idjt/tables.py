@@ -92,10 +92,6 @@ class Table:
 
     # -- views -------------------------------------------------------------
 
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
-
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
 
@@ -106,9 +102,6 @@ class Table:
             raise ValueError("order must be a permutation of the domain")
         perm = [self.domain.index(v) for v in order]
         return self.values.transpose(perm).reshape(-1)
-
-    def __getitem__(self, assignment) -> float:
-        return self.values[tuple(assignment)]
 
     def equals(self, other: "Table", rtol: float = 0.0, atol: float = 0.0) -> bool:
         if set(self.domain) != set(other.domain):

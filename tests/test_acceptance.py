@@ -33,7 +33,6 @@ from idjt import (
     triangulate,
     verify_strong,
 )
-from idjt.model import TemporalPartition
 from idjt.solver import absorb, collect, extract_policies, global_pair
 from idjt.randmodels import random_model
 
@@ -93,8 +92,7 @@ def oracle_suite():
 def test_criterion_1_golden_compilation():
     t0 = time.perf_counter()
     graph, vs = golden_moral_graph()
-    part = TemporalPartition.from_variables(vs.values())
-    order = strong_elimination_order(graph, part, given=[vs[n] for n in GOLDEN_SEQUENCE])
+    order = strong_elimination_order(graph, given=[vs[n] for n in GOLDEN_SEQUENCE])
     tri, fills = triangulate(graph, order)
     cliques = cliques_of(tri, order)
     tree = build_strong_tree(cliques)
@@ -203,8 +201,7 @@ def test_criterion_5_structural_suite():
         assert refills == []
         checked += 1
     graph, vs = golden_moral_graph()
-    part = TemporalPartition.from_variables(vs.values())
-    order = strong_elimination_order(graph, part, given=[vs[n] for n in GOLDEN_SEQUENCE])
+    order = strong_elimination_order(graph, given=[vs[n] for n in GOLDEN_SEQUENCE])
     tri, fills = triangulate(graph, order)
     tree = build_strong_tree(cliques_of(tri, order))
     assert verify_strong(tree) == []

@@ -66,6 +66,19 @@ def test_non_finite_cpt_exits_one(tmp_path):
     assert "MEU" not in report
 
 
+def test_utility_overflow_exits_one(tmp_path):
+    # each utility is finite, but their sum overflows to inf
+    big = tmp_path / "overflow.idm"
+    big.write_text(
+        "chance x states 0 1 stage 0\ncpt x : 0.5 0.5\n"
+        "utility u1 over x : 1e308 1e308\nutility u2 over x : 1e308 1e308\n"
+    )
+    code, report = run(_solve_args(big, "--check"))
+    assert code == 1
+    assert "utility: the utilities' largest magnitudes overflow when summed" in report
+    assert "MEU" not in report and "MISMATCH" not in report
+
+
 def test_model_without_variables_exits_one(tmp_path):
     empty = tmp_path / "empty.idm"
     empty.write_text("# nothing but a comment\n")

@@ -12,7 +12,6 @@ from idjt import (
     MoralGraph,
     OrderError,
     StrongJunctionTree,
-    TemporalPartition,
     build_strong_tree,
     chance_var,
     cliques_of,
@@ -92,13 +91,12 @@ def test_every_family_and_utility_domain_complete_in_moral_graph(golden_model):
 
 def _golden_order(golden):
     graph, vs = golden
-    part = TemporalPartition.from_variables(vs.values())
     given = [vs[n] for n in GOLDEN_SEQUENCE]
-    return strong_elimination_order(graph, part, given=given), graph, vs, part
+    return strong_elimination_order(graph, given=given), graph, vs
 
 
 def test_reference_sequence_accepted_as_given(golden):
-    order, _, vs, _ = _golden_order(golden)
+    order, _, vs = _golden_order(golden)
     assert [v.name for v in order.sequence] == GOLDEN_SEQUENCE
     assert order.alpha[vs["l"]] == 16
     assert order.alpha[vs["b"]] == 1
@@ -106,21 +104,19 @@ def test_reference_sequence_accepted_as_given(golden):
 
 def test_stage_constraint_rejects_premature_decision(golden):
     graph, vs = golden
-    part = TemporalPartition.from_variables(vs.values())
     bad = [vs["D4"]] + [vs[n] for n in GOLDEN_SEQUENCE if n != "D4"]
     with pytest.raises(OrderError, match="stage constraint"):
-        strong_elimination_order(graph, part, given=bad)
+        strong_elimination_order(graph, given=bad)
 
 
 def test_given_sequence_must_be_a_permutation(golden):
     graph, vs = golden
-    part = TemporalPartition.from_variables(vs.values())
     with pytest.raises(OrderError, match="permutation"):
-        strong_elimination_order(graph, part, given=[vs["l"], vs["j"]])
+        strong_elimination_order(graph, given=[vs["l"], vs["j"]])
 
 
 def test_reverse_order_extends_precedence(golden):
-    order, _, _, _ = _golden_order(golden)
+    order, _, _ = _golden_order(golden)
     ranks = [v.rank for v in order.sequence]
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
 
@@ -132,7 +128,6 @@ def test_min_fill_picks_the_simplicial_vertex_first():
         frozenset(e) for e in [(p, q), (q, r), (r, w), (w, p), (s, p)]
     )
     graph = MoralGraph((s, p, q, r, w), edges)
-    part = TemporalPartition.from_variables([s, p, q, r, w])
 
     adj = graph.adjacency()
 
@@ -142,7 +137,7 @@ def test_min_fill_picks_the_simplicial_vertex_first():
     # independent count of fill edges per candidate: s is uniquely zero
     assert fill_count(s) == 0
     assert all(fill_count(v) > 0 for v in (p, q, r, w))
-    order = strong_elimination_order(graph, part, heuristic="min-fill")
+    order = strong_elimination_order(graph, heuristic="min-fill")
     assert order.sequence[0] == s
 
 
@@ -160,8 +155,12 @@ def test_determinism_same_input_same_result(golden_model):
     assert a[0].parent == b[0].parent
 
 
-def _reference_greedy(graph, partition, heuristic):
-    """The plain greedy: rescore every remaining block member before each pick."""
+def _reference_greedy(graph, heuristic):
+    """The plain greedy: rescore every remaining block member before each pick.
+
+    The blocks come from the stages directly: stage 0, decision 1, stage 1,
+    ..., decision n, stage n and any later stages, eliminated last block first.
+    """
     adj = graph.adjacency()
 
     def fill(v):
@@ -174,11 +173,12 @@ def _reference_greedy(graph, partition, heuristic):
         key = lambda v: (weight(v), fill(v), v.name)
     else:
         key = lambda v: (fill(v), weight(v), v.name)
+    chance = [v for v in graph.vertices if not v.is_decision]
+    decisions = [v for v in graph.vertices if v.is_decision]
     blocks = []
-    for k, info in enumerate(partition.information_sets):
-        blocks.append(sorted(info, key=lambda v: v.name))
-        if k < partition.n:
-            blocks.append([partition.decision_order[k]])
+    for k in range(max([len(decisions)] + [v.stage for v in chance]) + 1):
+        blocks.append(sorted((v for v in chance if v.stage == k), key=lambda v: v.name))
+        blocks.append([d for d in decisions if d.stage == k + 1])
     sequence = []
     for block in reversed(blocks):
         remaining = list(block)
@@ -212,18 +212,17 @@ def _grid(k, cardinality):
 def _order_cases(golden_model):
     for i in range(200):
         model = random_model(i, structural_zeros=i % 2 == 1)
-        yield moralize(model), model.partition
-    yield moralize(golden_model), golden_model.partition
+        yield moralize(model)
+    yield moralize(golden_model)
     for cardinality in (lambda i, j: 2, lambda i, j: 2 + (i * j) % 2):
-        grid = _grid(8, cardinality)
-        yield grid, TemporalPartition.from_variables(grid.vertices)
+        yield _grid(8, cardinality)
 
 
 @pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
 def test_incremental_order_matches_the_reference_greedy(golden_model, heuristic):
-    for graph, part in _order_cases(golden_model):
-        got = strong_elimination_order(graph, part, heuristic=heuristic).sequence
-        assert got == _reference_greedy(graph, part, heuristic)
+    for graph in _order_cases(golden_model):
+        got = strong_elimination_order(graph, heuristic=heuristic).sequence
+        assert got == _reference_greedy(graph, heuristic)
 
 
 def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
@@ -232,7 +231,6 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
     n = 2000
     xs = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(n)]
     graph = MoralGraph(tuple(xs), frozenset(frozenset(p) for p in zip(xs, xs[1:])))
-    part = TemporalPartition.from_variables(xs)
     calls = 0
     fill_count = compiler._fill_count
 
@@ -244,7 +242,7 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(compiler, "_fill_count", counting)
     for heuristic in ("min-fill", "min-weight"):
         calls = 0
-        order = strong_elimination_order(graph, part, heuristic=heuristic)
+        order = strong_elimination_order(graph, heuristic=heuristic)
         assert len(order.sequence) == n
         assert calls <= 3 * n
 
@@ -254,7 +252,7 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
 
 
 def test_reference_sequence_produces_exactly_the_nine_fills(golden):
-    order, graph, vs, _ = _golden_order(golden)
+    order, graph, vs = _golden_order(golden)
     tri, fills = triangulate(graph, order)
     assert {frozenset(v.name for v in f) for f in fills} == GOLDEN_FILLS
     assert len(fills) == 9
@@ -271,7 +269,7 @@ def test_already_triangulated_graph_has_zero_fills():
 
 
 def test_re_elimination_of_triangulated_graph_adds_nothing(golden):
-    order, graph, _, _ = _golden_order(golden)
+    order, graph, _ = _golden_order(golden)
     tri, _ = triangulate(graph, order)
     tri2, fills2 = triangulate(tri, order)
     assert fills2 == []
@@ -283,7 +281,7 @@ def test_re_elimination_of_triangulated_graph_adds_nothing(golden):
 
 
 def test_golden_cliques_with_indices(golden):
-    order, graph, vs, _ = _golden_order(golden)
+    order, graph, vs = _golden_order(golden)
     tri, _ = triangulate(graph, order)
     cliques = cliques_of(tri, order)
     got = {c.index: {v.name for v in c.members} for c in cliques}
@@ -411,14 +409,14 @@ def _pairs(cliques):
 
 @pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
 def test_cliques_match_the_reference_on_compiled_graphs(golden_model, heuristic):
-    for graph, part in _order_cases(golden_model):
-        order = strong_elimination_order(graph, part, heuristic=heuristic)
+    for graph in _order_cases(golden_model):
+        order = strong_elimination_order(graph, heuristic=heuristic)
         tri, _ = triangulate(graph, order)
         assert _pairs(cliques_of(tri, order)) == _pairs(_reference_cliques_of(tri, order))
 
 
 def test_cliques_match_the_reference_on_golden_with_the_reference_order(golden):
-    order, graph, _, _ = _golden_order(golden)
+    order, graph, _ = _golden_order(golden)
     tri, _ = triangulate(graph, order)
     assert _pairs(cliques_of(tri, order)) == _pairs(_reference_cliques_of(tri, order))
 
@@ -523,13 +521,13 @@ def test_tree_links_follow_the_elimination_tree():
 
 
 def _golden_tree(golden):
-    order, graph, vs, part = _golden_order(golden)
+    order, graph, vs = _golden_order(golden)
     tri, _ = triangulate(graph, order)
-    return build_strong_tree(cliques_of(tri, order)), part, vs
+    return build_strong_tree(cliques_of(tri, order)), vs
 
 
 def test_golden_parent_links(golden):
-    tree, _, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     assert tree.parent == GOLDEN_PARENT_LINKS
     assert tree.root == 1
 
@@ -537,7 +535,7 @@ def test_golden_parent_links(golden):
 def test_alternative_attachment_would_also_hold_separator(golden):
     # the separator {e} of C5 also fits C10; the builder still picks C1,
     # the lowest-index container
-    tree, _, vs = _golden_tree(golden)
+    tree, vs = _golden_tree(golden)
     sep = tree.separator(5)
     assert sep == {vs["e"]}
     c10 = tree.clique(10)
@@ -571,12 +569,12 @@ def test_running_intersection_violation_detected():
 
 
 def test_verify_strong_accepts_the_golden_tree(golden):
-    tree, part, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     assert verify_strong(tree) == []
 
 
 def test_junction_property_violation_on_rewired_edge(golden):
-    tree, part, vs = _golden_tree(golden)
+    tree, vs = _golden_tree(golden)
     broken = StrongJunctionTree(tree.cliques, {**tree.parent, 8: 6}, tree.root)
     problems = verify_strong(broken)
     junction = [p for p in problems if p.kind == "junction"]
@@ -585,7 +583,7 @@ def test_junction_property_violation_on_rewired_edge(golden):
 
 
 def test_strong_root_violations_after_rerooting(golden):
-    tree, part, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     # same undirected edges, reoriented away from clique 16
     undirected = [(child, parent) for child, parent in tree.parent.items()]
     adj = {}
@@ -662,7 +660,7 @@ def test_junction_check_agrees_with_networkx_on_compiled_trees():
 
 
 def test_junction_check_agrees_with_networkx_on_rewired_golden_trees(golden):
-    tree, _, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     rewired = 0
     for child, par in tree.parent.items():
         below = _subtree(tree, child)
@@ -693,7 +691,7 @@ def _running_intersection(tree):
 
 
 def test_running_intersection_matches_the_pairwise_scan(golden):
-    tree, _, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     trees = [tree]
     for child in tree.parent:
         below = _subtree(tree, child)
@@ -725,9 +723,9 @@ def test_verify_strong_accepts_a_3000_clique_path():
 
 
 def test_dot_outputs_are_well_formed(golden, golden_model):
-    tree, part, _ = _golden_tree(golden)
+    tree, _ = _golden_tree(golden)
     graph, _ = golden
-    order, _, _, _ = _golden_order(golden)
+    order, _, _ = _golden_order(golden)
     tri, fills = triangulate(graph, order)
     moral_dot = moral_to_dot(graph)
     tri_dot = triangulated_to_dot(tri, fills)

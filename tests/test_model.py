@@ -6,7 +6,6 @@ import pytest
 from idjt import (
     InfluenceDiagram,
     ParseError,
-    TemporalPartition,
     Table,
     Utility,
     chance_var,
@@ -35,7 +34,7 @@ def test_minimal_single_variable_document():
     assert [v.name for v in d.variables] == ["a"]
     assert d.parents["a"] == ()
     assert d.cpts["a"].flat().tolist() == [0.5, 0.5]
-    assert d.partition.n == 0
+    assert d.decisions == ()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -235,13 +234,6 @@ def test_single_field_mutations_each_trigger_one_violation():
             {"a": (), "x": (d1,), "D1": (a,)},
             base.cpts,
             base.utilities,
-        ),
-        "partition": InfluenceDiagram(
-            base.variables,
-            dict(base.parents),
-            base.cpts,
-            base.utilities,
-            TemporalPartition((frozenset({a}),), (d1,)),  # x missing
         ),
         "utility": InfluenceDiagram(
             base.variables,

@@ -82,7 +82,7 @@ def test_meu_monotone_in_utilities():
             for u in model.utilities
         )
         bumped = InfluenceDiagram(
-            model.variables, dict(model.parents), dict(model.cpts), bumped_utils, model.partition
+            model.variables, dict(model.parents), dict(model.cpts), bumped_utils
         )
         assert brute_force(bumped).meu >= brute_force(model).meu - 1e-12
 

@@ -16,7 +16,7 @@ def test_generated_models_are_valid_and_in_range():
         m = random_model(seed)
         assert validate(m) == []
         assert 3 <= len(m.variables) <= 8
-        assert 1 <= m.partition.n <= 3
+        assert 1 <= len(m.decisions) <= 3
         assert all(2 <= len(v.states) <= 3 for v in m.variables)
         assert 1 <= len(m.utilities) <= 3
         for u in m.utilities:

@@ -1,5 +1,8 @@
-"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter, and a
+check that every function the benchmark traces still exists."""
 
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -39,3 +42,13 @@ def test_oracle_sweep_agrees_on_five_models():
     assert out.returncode == 0, out.stderr
     assert "models: 5  heuristic: min-fill" in out.stdout
     assert out.stdout.endswith("agreement\n")
+
+
+def test_every_traced_benchmark_target_resolves():
+    # a renamed function would silently drop its per-layer benchmark metric
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, span in tracing.TARGETS:
+        assert hasattr(importlib.import_module(module_name), attr), span

@@ -1,5 +1,7 @@
 """Initialization, absorption, collect, MEU, and policy extraction."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -258,8 +260,7 @@ def test_utility_shift_moves_meu_and_keeps_policies():
         type(u)(u.name, u.domain, Table(u.table.domain, u.table.values + 2.5))
         for u in base.utilities
     )
-    shifted = type(base)(base.variables, dict(base.parents), dict(base.cpts),
-                         shifted_utils, base.partition)
+    shifted = type(base)(base.variables, dict(base.parents), dict(base.cpts), shifted_utils)
     t1, *_ = compile_diagram(base)
     t2, *_ = compile_diagram(shifted)
     r1 = solve(t1, base)
@@ -267,6 +268,49 @@ def test_utility_shift_moves_meu_and_keeps_policies():
     assert r2.meu == pytest.approx(r1.meu + 2.5 * len(base.utilities), rel=1e-9)
     for p1, p2 in zip(r1.policies, r2.policies):
         assert p1.choice.values.tolist() == p2.choice.values.tolist()
+
+
+@pytest.mark.parametrize("k", [0.5, 4.0])
+def test_utility_scaling_scales_meu_exactly_and_keeps_policies(k):
+    # a power of two scales every product and quotient exactly
+    for seed in range(50):
+        base = random_model(seed, structural_zeros=seed % 2 == 1)
+        scaled_utils = tuple(
+            type(u)(u.name, u.domain, Table(u.table.domain, u.table.values * k))
+            for u in base.utilities
+        )
+        scaled = type(base)(base.variables, dict(base.parents), dict(base.cpts), scaled_utils)
+        r1 = solve(compile_diagram(base)[0], base)
+        r2 = solve(compile_diagram(scaled)[0], scaled)
+        assert r2.meu == k * r1.meu
+        assert [p.choice.values.tolist() for p in r2.policies] == [
+            p.choice.values.tolist() for p in r1.policies
+        ]
+
+
+def test_declaration_order_changes_neither_the_tree_nor_the_solution():
+    for seed in range(300):
+        base = random_model(seed, structural_zeros=seed % 2 == 1)
+        variables = list(base.variables)
+        random.Random(seed).shuffle(variables)
+        permuted = type(base)(
+            tuple(variables), dict(base.parents), dict(base.cpts), base.utilities[::-1]
+        )
+        runs = []
+        for model in (base, permuted):
+            tree, order, *_ = compile_diagram(model)
+            runs.append((tree, order, solve(tree, model)))
+        (t1, o1, r1), (t2, o2, r2) = runs
+        assert o2.sequence == o1.sequence
+        assert [(c.members, c.index) for c in t2.cliques] == [
+            (c.members, c.index) for c in t1.cliques
+        ]
+        assert t2.parent == t1.parent
+        assert r2.policy_clique == r1.policy_clique
+        assert [(p.decision, p.domain, p.choice.values.tolist()) for p in r2.policies] == [
+            (p.decision, p.domain, p.choice.values.tolist()) for p in r1.policies
+        ]
+        assert r2.meu == pytest.approx(r1.meu, rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +386,17 @@ def test_constancy_violation_detected():
     with pytest.raises(InvariantError, match="non-negative constant"):
         collect(run)
         meu(run)
+
+
+def test_utility_overflow_is_an_invariant_breach():
+    # validate rejects this model; the solver must not report MEU inf either
+    model = parse_model(
+        "chance x states 0 1 stage 0\ncpt x : 0.5 0.5\n"
+        "utility u1 over x : 1e308 1e308\nutility u2 over x : 1e308 1e308\n"
+    )
+    tree, *_ = compile_diagram(model)
+    with np.errstate(over="ignore"), pytest.raises(InvariantError, match="utility inf is not"):
+        solve(tree, model)
 
 
 def test_nan_root_mass_is_an_invariant_breach():
