@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
 
@@ -132,7 +132,7 @@ def _clique_weight(adj: dict[Variable, set[Variable]], v: Variable) -> int:
 
 def strong_elimination_order(
     graph: MoralGraph,
-    heuristic: Heuristic | None = "min-fill",
+    heuristic: Heuristic = "min-fill",
     given: Sequence[Variable] | None = None,
 ) -> EliminationOrder:
     """Choose an elimination order blocked by rank, highest rank first.
@@ -150,6 +150,8 @@ def strong_elimination_order(
     and of the common neighbours of each fill edge (a, b) (one missing pair
     fewer), so only those are rescored; stale heap entries are skipped.
     """
+    if heuristic not in get_args(Heuristic):
+        raise OrderError(f"unknown heuristic {heuristic!r}")
     if given is not None:
         if set(given) != set(graph.vertices):
             raise OrderError("given sequence is not a permutation of the variables")
@@ -420,7 +422,7 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
 
 def compile_diagram(
     diagram: InfluenceDiagram,
-    heuristic: Heuristic | None = "min-fill",
+    heuristic: Heuristic = "min-fill",
     given: Sequence[Variable] | None = None,
 ):
     """Full pipeline from a valid diagram to a verified strong junction tree."""

@@ -20,7 +20,9 @@ whitespace separated)::
     utility <uname> over <v1> <v2> ... : <u1> <u2> ...   # same row-major convention
 
 Exactly one ``cpt`` per chance variable; state declaration order defines the
-index order everywhere.
+index order everywhere.  Variable and utility names share one namespace.  A
+``ParseError`` carries the 1-based line and column of the offending token; a
+missing cpt is reported at the variable's name in its declaration.
 """
 
 from __future__ import annotations
@@ -234,6 +236,9 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
 
     bound = 0.0  # bounds |total utility| over every configuration
     for u in diagram.utilities:
+        if u.name in seen_names:
+            out.append(Violation("name", f"duplicate utility name {u.name!r}"))
+        seen_names.add(u.name)
         if not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
         else:
@@ -271,70 +276,40 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
 
 
 class _Line:
-    def __init__(self, number: int, tokens: list[tuple[str, int]]):
+    """One non-blank line: its number, comment-stripped body, tokens and a cursor."""
+
+    def __init__(self, number: int, body: str, tokens: list[str]):
         self.number = number
+        self.body = body
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def column(self) -> int:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return self.tokens[-1][1] + len(self.tokens[-1][0]) if self.tokens else 1
+    def error(self, message: str, at: int | None = None) -> ParseError:
+        """The error at token ``at`` (default: the cursor), or at the line's end."""
+        at = self.pos if at is None else at
+        spans = [m.span() for m in re.finditer(r"\S+", self.body)]
+        column = spans[at][0] + 1 if at < len(spans) else spans[-1][1] + 1
+        return ParseError(message, self.number, column)
 
     def take(self, what: str) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what} at end of line", self.number, self.column())
+        if self.pos == len(self.tokens):
+            raise self.error(f"expected {what} at end of line")
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, literal: str):
-        col = self.column()
+    def expect(self, literal: str) -> None:
         tok = self.take(repr(literal))
         if tok != literal:
-            raise ParseError(f"expected {literal!r}, found {tok!r}", self.number, col)
+            raise self.error(f"expected {literal!r}, found {tok!r}", self.pos - 1)
 
-
-def _tokenize(text: str) -> list[_Line]:
-    lines = []
-    for i, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0]
-        tokens = [(m.group(0), m.start() + 1) for m in re.finditer(r"\S+", body)]
-        if tokens:
-            lines.append(_Line(i, tokens))
-    return lines
-
-
-def _take_name(line: _Line, what: str) -> str:
-    col = line.column()
-    tok = line.take(what)
-    if not _NAME_RE.match(tok) or tok in _KEYWORDS:
-        raise ParseError(f"invalid {what} {tok!r}", line.number, col)
-    return tok
-
-
-def _take_int(line: _Line, what: str, minimum: int) -> int:
-    col = line.column()
-    tok = line.take(what)
-    try:
-        value = int(tok)
-    except ValueError:
-        raise ParseError(f"expected integer {what}, found {tok!r}", line.number, col) from None
-    if value < minimum:
-        raise ParseError(f"{what} must be >= {minimum}, found {value}", line.number, col)
-    return value
-
-
-def _take_float(line: _Line) -> float:
-    col = line.column()
-    tok = line.take("a numeric value")
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"expected a number, found {tok!r}", line.number, col) from None
+    def run(self, stop: str) -> list[str]:
+        """The tokens before the next ``stop`` or the line's end; the cursor stops there."""
+        start = self.pos
+        try:
+            self.pos = self.tokens.index(stop, start)
+        except ValueError:
+            self.pos = len(self.tokens)
+        return self.tokens[start : self.pos]
 
 
 def parse_model(text: str) -> InfluenceDiagram:
@@ -344,121 +319,121 @@ def parse_model(text: str) -> InfluenceDiagram:
     deferred to :func:`validate`; this raises :class:`ParseError` only for
     syntax problems, unresolved or duplicate names, and wrong table sizes.
     """
-    variables: list[Variable] = []
+    declared: dict[Variable, _Line] = {}  # declaration order
     by_name: dict[str, Variable] = {}
-    parents: dict[str, tuple[Variable, ...]] = {}
-    cpt_lines: dict[str, tuple[_Line, int, list[Variable], list[float]]] = {}
+    names: set[str] = set()  # variables and utilities share one namespace
+    cpt_lines: dict[str, tuple[_Line, list[Variable], list[float]]] = {}
     utilities: list[Utility] = []
-    util_names: set[str] = set()
 
-    def declare(line: _Line, kind: str) -> None:
-        col = line.column()
-        name = _take_name(line, "variable name")
-        if name in by_name:
-            raise ParseError(f"duplicate name {name!r}", line.number, col)
-        line.expect("states")
-        labels: list[str] = []
-        stop = "stage" if kind == CHANCE else "index"
-        while line.peek() is not None and line.peek() != stop:
-            tcol = line.column()
-            tok = line.take("state label")
-            if not _LABEL_RE.match(tok):
-                raise ParseError(f"invalid state label {tok!r}", line.number, tcol)
-            labels.append(tok)
-        if not labels:
-            raise ParseError("at least one state label required", line.number, line.column())
-        line.expect(stop)
-        if kind == CHANCE:
-            v = chance_var(name, labels, _take_int(line, "stage", 0))
-        else:
-            v = decision_var(name, labels, _take_int(line, "index", 1))
-        if line.peek() is not None:
-            raise ParseError(f"unexpected token {line.peek()!r}", line.number, line.column())
-        variables.append(v)
-        by_name[name] = v
+    def claim(line: _Line, what: str) -> str:
+        name = line.take(what)
+        if not _NAME_RE.match(name) or name in _KEYWORDS:
+            raise line.error(f"invalid {what} {name!r}", line.pos - 1)
+        if name in names:
+            raise line.error(f"duplicate name {name!r}", line.pos - 1)
+        names.add(name)
+        return name
 
-    def resolve(line: _Line, what: str) -> Variable:
-        col = line.column()
-        tok = line.take(what)
-        v = by_name.get(tok)
-        if v is None:
-            raise ParseError(f"undeclared variable {tok!r}", line.number, col)
-        return v
+    def resolve(line: _Line) -> list[Variable]:
+        start = line.pos
+        run = line.run(":")
+        try:
+            return [by_name[tok] for tok in run]
+        except KeyError as e:
+            tok = e.args[0]
+            raise line.error(f"undeclared variable {tok!r}", start + run.index(tok)) from None
 
-    def values_after_colon(line: _Line) -> list[float]:
+    def values(line: _Line) -> list[float]:
         line.expect(":")
-        vals = []
-        while line.peek() is not None:
-            vals.append(_take_float(line))
-        return vals
+        run = line.tokens[line.pos :]
+        try:
+            return [float(tok) for tok in run]
+        except ValueError:
+            for i, tok in enumerate(run):  # find the token float rejected
+                try:
+                    float(tok)
+                except ValueError:
+                    raise line.error(f"expected a number, found {tok!r}", line.pos + i) from None
+            raise
 
-    for line in _tokenize(text):
-        head_col = line.column()
+    for number, raw in enumerate(text.splitlines(), 1):
+        body = raw.partition("#")[0]
+        tokens = body.split()
+        if not tokens:
+            continue
+        line = _Line(number, body, tokens)
         head = line.take("a directive")
         if head in (CHANCE, DECISION):
-            declare(line, head)
+            name = claim(line, "variable name")
+            line.expect("states")
+            stop = "stage" if head == CHANCE else "index"
+            labels = line.run(stop)
+            for i, label in enumerate(labels):
+                if not _LABEL_RE.match(label):
+                    raise line.error(f"invalid state label {label!r}", 3 + i)
+            if not labels:
+                raise line.error("at least one state label required")
+            line.expect(stop)
+            tok = line.take(stop)
+            try:
+                k = int(tok)
+            except ValueError:
+                raise line.error(f"expected integer {stop}, found {tok!r}", line.pos - 1) from None
+            minimum = 0 if head == CHANCE else 1
+            if k < minimum:
+                raise line.error(f"{stop} must be >= {minimum}, found {k}", line.pos - 1)
+            if line.pos < len(tokens):
+                raise line.error(f"unexpected token {tokens[line.pos]!r}")
+            v = chance_var(name, labels, k) if head == CHANCE else decision_var(name, labels, k)
+            declared[v] = line
+            by_name[name] = v
         elif head == "cpt":
-            tcol = line.column()
-            target = resolve(line, "cpt target")
+            name = line.take("cpt target")
+            target = by_name.get(name)
+            if target is None:
+                raise line.error(f"undeclared variable {name!r}", 1)
             if target.is_decision:
-                raise ParseError(
-                    f"decision {target.name!r} cannot have a cpt", line.number, tcol
-                )
-            if target.name in cpt_lines:
-                raise ParseError(f"duplicate cpt for {target.name!r}", line.number, tcol)
+                raise line.error(f"decision {name!r} cannot have a cpt", 1)
+            if name in cpt_lines:
+                raise line.error(f"duplicate cpt for {name!r}", 1)
             given: list[Variable] = []
-            if line.peek() == "given":
-                line.expect("given")
-                while line.peek() is not None and line.peek() != ":":
-                    given.append(resolve(line, "parent name"))
-            vals = values_after_colon(line)
-            cpt_lines[target.name] = (line, tcol, given, vals)
+            if tokens[2:3] == ["given"]:
+                line.pos = 3
+                given = resolve(line)
+            cpt_lines[name] = (line, given, values(line))
         elif head == "utility":
-            ucol = line.column()
-            uname = _take_name(line, "utility name")
-            if uname in util_names or uname in by_name:
-                raise ParseError(f"duplicate name {uname!r}", line.number, ucol)
-            util_names.add(uname)
+            uname = claim(line, "utility name")
             line.expect("over")
-            dom: list[Variable] = []
-            while line.peek() is not None and line.peek() != ":":
-                dom.append(resolve(line, "utility variable"))
-            vals = values_after_colon(line)
+            dom = resolve(line)
+            vals = values(line)
             expected = math.prod(len(v.states) for v in dom)
             if len(vals) != expected:
-                raise ParseError(
-                    f"utility {uname!r} needs {expected} values, found {len(vals)}",
-                    line.number,
-                    ucol,
-                )
+                raise line.error(f"utility {uname!r} needs {expected} values, found {len(vals)}", 1)
             if len(set(dom)) != len(dom):
-                raise ParseError(f"utility {uname!r} repeats a variable", line.number, ucol)
+                raise line.error(f"utility {uname!r} repeats a variable", 1)
             utilities.append(Utility(uname, tuple(dom), Table.from_flat(dom, vals)))
         else:
-            raise ParseError(f"unknown directive {head!r}", line.number, head_col)
+            raise line.error(f"unknown directive {head!r}", 0)
 
+    parents: dict[str, tuple[Variable, ...]] = {}
     cpts: dict[str, Table] = {}
-    for v in variables:
+    for v, declaration in declared.items():
         if v.is_decision:
             continue
-        entry = cpt_lines.pop(v.name, None)
+        entry = cpt_lines.get(v.name)
         if entry is None:
-            raise ParseError(f"missing cpt for chance variable {v.name!r}", 0, 1)
-        line, col, given, vals = entry
+            raise declaration.error(f"missing cpt for chance variable {v.name!r}", 1)
+        line, given, vals = entry
         dom = given + [v]
         if len(set(dom)) != len(dom):
-            raise ParseError(f"cpt of {v.name!r} repeats a variable", line.number, col)
+            raise line.error(f"cpt of {v.name!r} repeats a variable", 1)
         expected = math.prod(len(w.states) for w in dom)
         if len(vals) != expected:
-            raise ParseError(
-                f"cpt of {v.name!r} needs {expected} values, found {len(vals)}",
-                line.number,
-                col,
-            )
+            raise line.error(f"cpt of {v.name!r} needs {expected} values, found {len(vals)}", 1)
         parents[v.name] = tuple(given)
         cpts[v.name] = Table.from_flat(dom, vals)
 
-    return InfluenceDiagram(tuple(variables), parents, cpts, tuple(utilities))
+    return InfluenceDiagram(tuple(declared), parents, cpts, tuple(utilities))
 
 
 def _fmt(x: float) -> str:

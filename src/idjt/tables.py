@@ -65,11 +65,11 @@ class Table:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_flat(cls, domain: Sequence["Variable"], flat, dtype=np.float64) -> "Table":
+    def from_flat(cls, domain: Sequence["Variable"], flat) -> "Table":
         """Build from values listed row-major in the *given* domain order."""
         domain = tuple(domain)
         shape = tuple(len(v.states) for v in domain)
-        vals = np.asarray(list(flat), dtype=dtype).reshape(shape)
+        vals = np.asarray(list(flat), dtype=np.float64).reshape(shape)
         canon = _canonical(domain)
         if canon != domain:
             perm = [domain.index(v) for v in canon]

@@ -115,6 +115,12 @@ def test_given_sequence_must_be_a_permutation(golden):
         strong_elimination_order(graph, given=[vs["l"], vs["j"]])
 
 
+@pytest.mark.parametrize("heuristic", ["min-wieght", None])
+def test_unknown_heuristic_rejected(golden_model, heuristic):
+    with pytest.raises(OrderError, match=f"unknown heuristic {heuristic!r}"):
+        compile_diagram(golden_model, heuristic=heuristic)
+
+
 def test_reverse_order_extends_precedence(golden):
     order, _, _ = _golden_order(golden)
     ranks = [v.rank for v in order.sequence]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idjt import (
     InfluenceDiagram,
@@ -62,6 +64,13 @@ def test_duplicate_name_rejected():
         parse_model(text)
 
 
+def test_variable_cannot_reuse_a_utility_name():
+    text = "utility a over : 5\nchance a states x y stage 0\ncpt a : 0.5 0.5\n"
+    with pytest.raises(ParseError, match="duplicate name 'a'") as err:
+        parse_model(text)
+    assert (err.value.line, err.value.column) == (2, 8)
+
+
 def test_wrong_value_count_in_cpt():
     with pytest.raises(ParseError, match="needs 2 values, found 3"):
         parse_model("chance a states x y stage 0\ncpt a : 0.5 0.4 0.1\n")
@@ -74,8 +83,9 @@ def test_wrong_value_count_in_utility():
 
 
 def test_missing_cpt_rejected():
-    with pytest.raises(ParseError, match="missing cpt for chance variable 'a'"):
-        parse_model("chance a states x y stage 0\n")
+    with pytest.raises(ParseError, match="missing cpt for chance variable 'a'") as err:
+        parse_model("decision D states u v index 1\n\n  chance  a states x y stage 0\n")
+    assert (err.value.line, err.value.column) == (3, 11)
 
 
 def test_duplicate_cpt_rejected():
@@ -119,6 +129,19 @@ def test_round_trip_random_models():
     for seed in range(20):
         d = random_model(seed, structural_zeros=seed % 2 == 0)
         assert diagrams_equal(parse_model(write_model(d)), d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    max_variables=st.integers(3, 10),
+    max_states=st.integers(2, 4),
+    structural_zeros=st.booleans(),
+)
+def test_text_round_trip_property(seed, max_variables, max_states, structural_zeros):
+    text = write_model(random_model(seed, max_variables, max_states=max_states,
+                                    structural_zeros=structural_zeros))
+    assert write_model(parse_model(text)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +227,15 @@ def test_decision_index_gap_flagged():
     text = "decision D1 states u v index 1\ndecision D3 states u v index 3\n"
     problems = validate(parse_model(text))
     assert any(p.kind == "decision-index" for p in problems)
+
+
+@pytest.mark.parametrize("name", ["a", "u0"])
+def test_utility_name_shared_with_another_name_violation(name):
+    base = build_valid()
+    a, _, x = base.variables
+    extra = Utility(name, (a,), Table.from_flat([a], [0.0, 1.0]))
+    clash = InfluenceDiagram(base.variables, dict(base.parents), base.cpts, (*base.utilities, extra))
+    assert validate(clash) == [("name", f"duplicate utility name {name!r}")]
 
 
 def test_cycle_flagged():
