@@ -3,16 +3,17 @@
 Each clique carries a probability potential and a utility potential.  After
 initialization the product of all probability potentials is the joint
 distribution and the sum of all utility potentials is the total utility.
-Absorbing a leaf contracts it over the variables outside the separator and
-folds the result into its parent; running absorptions from the highest clique
-index down to the root leaves the root holding the contraction of the whole
+Absorbing a leaf contracts it over the variables outside the separator,
+folds the result into its parent and releases the leaf's potentials;
+running absorptions from the highest clique index down to the root leaves
+the root as the only live clique, holding the contraction of the whole
 model, from which a final contraction yields the maximum expected utility.
 
 Every max step over a decision happens exactly once, in the clique nearest
 the root that contains the decision.  The probability component must be
 constant in the decision there (a model/compiler invariant that is checked),
-so the optimal choice is the argmax of the utility contraction, recorded at
-the moment the step runs.
+so the optimal choice is the argmax of the utility contraction, taken at the
+moment the step runs; only that integer policy table outlives the step.
 """
 
 from __future__ import annotations
@@ -68,26 +69,25 @@ class SolveResult:
 
 
 @dataclass
-class _MaxStep:
-    clique: int
-    phi: Table
-    rho: Table
-
-
-@dataclass
 class SolveRun:
-    """Mutable state of one collect/extract pass over an initialized tree."""
+    """Mutable state of one collect/extract pass over an initialized tree.
+
+    ``states`` holds the potentials of the live cliques only: ``absorb``
+    deletes the child's entry, so a clique is live exactly when it has
+    potentials.  ``max_steps`` maps each decision maximized so far to the
+    clique where that happened and the policy taken there.
+    """
 
     tree: StrongJunctionTree
     diagram: InfluenceDiagram
     states: dict[int, CliqueState]
-    retired: set[int] = field(default_factory=set)
-    max_steps: dict[Variable, _MaxStep] = field(default_factory=dict)
+    max_steps: dict[Variable, tuple[int, Policy]] = field(default_factory=dict)
     root_scalar: tuple[float, float] | None = None
     constancy_worst: float = 0.0  # largest constancy spread seen at any max step
 
-    def live_indices(self) -> list[int]:
-        return [c.index for c in self.tree.cliques if c.index not in self.retired]
+    @property
+    def retired(self) -> set[int]:
+        return {c.index for c in self.tree.cliques if c.index not in self.states}
 
 
 def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
@@ -140,7 +140,12 @@ def _recorder(run: SolveRun, clique_index: int):
                 f"probability potential is not a non-negative constant in decision "
                 f"{decision.name!r} at its max step (relative spread {worst:.3e})"
             )
-        run.max_steps[decision] = _MaxStep(clique_index, phi, rho)
+        if decision not in rho.domain:
+            rho = extend(rho, set(rho.domain) | {decision})
+        choice = argmax_over(rho, decision)  # ties go to the lowest state index
+        if any(v.rank >= decision.rank for v in choice.domain):
+            raise InvariantError(f"policy domain of {decision.name!r} reaches into its future")
+        run.max_steps[decision] = (clique_index, Policy(decision, choice.domain, choice))
 
     return on_decision
 
@@ -152,23 +157,25 @@ def _contract(run: SolveRun, clique_index: int, keep: frozenset[Variable]):
 
 
 def absorb(run: SolveRun, child_index: int) -> None:
-    """Contract a leaf clique onto its separator and fold it into the parent.
+    """Contract a leaf clique onto its separator, fold it into the parent, release it.
 
     The utility message arrives already divided by the probability message
     (with 0/0 = 0), so the parent update is a multiply and an add.  Wherever
     the probability message is zero the utility message must be zero too;
     nonzero utility on zero support means the model's joint cannot carry it.
+    The child's entry leaves ``run.states``, which frees its potentials.
     """
-    if child_index in run.retired:
+    if child_index == run.tree.root:
+        raise InvariantError(f"clique {child_index} is the root: meu contracts it, not absorb")
+    if child_index not in run.states:
         raise InvariantError(f"clique {child_index} already absorbed")
-    if any(k not in run.retired for k in run.tree.children(child_index)):
+    if any(k in run.states for k in run.tree.children(child_index)):
         raise InvariantError(f"clique {child_index} still has live children")
-    sep = run.tree.separator(child_index)
-    phi_s, psi_s = _contract(run, child_index, sep)
+    phi_s, psi_s = _contract(run, child_index, run.tree.separator(child_index))
+    del run.states[child_index]
     parent = run.states[run.tree.parent[child_index]]
     parent.phi = multiply(parent.phi, phi_s)
     parent.psi = add(parent.psi, psi_s)
-    run.retired.add(child_index)
 
 
 def collect(run: SolveRun) -> SolveRun:
@@ -187,8 +194,7 @@ def meu(run: SolveRun) -> float:
     must be finite (large finite utilities can overflow along the way).
     """
     if run.root_scalar is None:
-        live = run.live_indices()
-        if live != [run.tree.root]:
+        if run.states.keys() != {run.tree.root}:
             raise InvariantError("collect must retire every non-root clique before meu")
         phi0, psi0 = _contract(run, run.tree.root, frozenset())
         mass = float(phi0.values)
@@ -204,30 +210,19 @@ def meu(run: SolveRun) -> float:
 
 
 def extract_policies(run: SolveRun) -> SolveResult:
-    """Read each decision's optimal choice from its recorded max step.
+    """Collect the policies recorded at the max steps, in decision order.
 
-    At the step, the probability component is constant in the decision and
-    everything already absorbed is independent of it, so the argmax of the
-    utility contraction (ties to the lowest state index) is optimal.  The
-    remaining table variables all precede the decision and form the policy
-    domain.
+    Each was taken when its decision was maximized: the probability
+    component is constant in the decision there and everything already
+    absorbed is independent of it, so the argmax of the utility contraction
+    is optimal, and the remaining table variables all precede the decision.
     """
     value = meu(run)
-    policies = []
-    clique_of: dict[str, int] = {}
     for d in run.diagram.decisions:
-        step = run.max_steps.get(d)
-        if step is None:
+        if d not in run.max_steps:
             raise InvariantError(f"decision {d.name!r} was never max-marginalized")
-        rho = step.rho
-        if d not in rho.domain:
-            rho = extend(rho, set(rho.domain) | {d})
-        choice = argmax_over(rho, d)
-        if any(v.rank >= d.rank for v in choice.domain):
-            raise InvariantError(f"policy domain of {d.name!r} reaches into its future")
-        policies.append(Policy(d, choice.domain, choice))
-        clique_of[d.name] = step.clique
-    return SolveResult(value, tuple(policies), clique_of)
+    steps = [run.max_steps[d] for d in run.diagram.decisions]
+    return SolveResult(value, tuple(p for _, p in steps), {p.decision.name: k for k, p in steps})
 
 
 def solve(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveResult:
@@ -239,14 +234,15 @@ def solve(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveResult:
 def global_pair(run: SolveRun, live_only: bool = True) -> tuple[Table, Table]:
     """Product of live probability potentials and sum of live utility potentials.
 
-    With ``live_only`` false, every clique contributes regardless of
-    absorption state (the model's original joint and utility).
+    With ``live_only`` false the caller wants the model's original joint and
+    utility, which only a run that has absorbed nothing still holds; once any
+    clique is absorbed its potentials are gone and this raises.
     """
+    if not live_only and run.retired:
+        raise InvariantError("the original joint and utility are gone after an absorb")
     phi = Table.unit()
     psi = Table.null()
-    for c in run.tree.cliques:
-        if live_only and c.index in run.retired:
-            continue
-        phi = multiply(phi, run.states[c.index].phi)
-        psi = add(psi, run.states[c.index].psi)
+    for st in run.states.values():
+        phi = multiply(phi, st.phi)
+        psi = add(psi, st.psi)
     return phi, psi

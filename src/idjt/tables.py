@@ -121,6 +121,20 @@ class Table:
         return add(self, other)
 
 
+def _fresh(domain: tuple["Variable", ...], values) -> Table:
+    """Wrap an array an operation below just computed, without the constructor's copy.
+
+    The operations build canonical domains and matching shapes, and nothing
+    else holds the array; a copy would double the allocation and the memory
+    traffic of every operation on a multi-megabyte table.
+    """
+    t = object.__new__(Table)
+    object.__setattr__(t, "domain", domain)
+    object.__setattr__(t, "values", np.asarray(values, order="C"))  # a numpy scalar becomes 0-d
+    t.values.setflags(write=False)
+    return t
+
+
 def _embed(t: Table, union: tuple["Variable", ...]) -> np.ndarray:
     """View of t's values broadcastable over the union domain (canonical)."""
     shape = tuple(len(v.states) if v in t.domain else 1 for v in union)
@@ -139,17 +153,17 @@ def extend(t: Table, target: Iterable["Variable"]) -> Table:
         names = sorted(v.name for v in missing)
         raise ValueError(f"target domain is missing {names}")
     shape = tuple(len(v.states) for v in target)
-    return Table(target, np.broadcast_to(_embed(t, target), shape).copy())
+    return _fresh(target, np.broadcast_to(_embed(t, target), shape).copy())
 
 
 def multiply(t1: Table, t2: Table) -> Table:
     union = _union_domain(t1, t2)
-    return Table(union, _embed(t1, union) * _embed(t2, union))
+    return _fresh(union, _embed(t1, union) * _embed(t2, union))
 
 
 def add(t1: Table, t2: Table) -> Table:
     union = _union_domain(t1, t2)
-    return Table(union, _embed(t1, union) + _embed(t2, union))
+    return _fresh(union, _embed(t1, union) + _embed(t2, union))
 
 
 def divide(num: Table, den: Table) -> Table:
@@ -162,7 +176,7 @@ def divide(num: Table, den: Table) -> Table:
         raise UndefinedDivisionError("denominator is zero where numerator is not")
     out = np.zeros(a.shape)
     np.divide(a, b, out=out, where=~zero)
-    return Table(union, out)
+    return _fresh(union, out)
 
 
 def _axis_of(t: Table, v: "Variable") -> int:
@@ -174,12 +188,12 @@ def _axis_of(t: Table, v: "Variable") -> int:
 
 def sum_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return Table(t.domain[:axis] + t.domain[axis + 1 :], t.values.sum(axis=axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], t.values.sum(axis=axis))
 
 
 def max_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return Table(t.domain[:axis] + t.domain[axis + 1 :], t.values.max(axis=axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], t.values.max(axis=axis))
 
 
 def argmax_over(t: Table, decision: "Variable") -> Table:
@@ -189,7 +203,7 @@ def argmax_over(t: Table, decision: "Variable") -> Table:
     """
     axis = _axis_of(t, decision)
     idx = np.argmax(t.values, axis=axis)
-    return Table(t.domain[:axis] + t.domain[axis + 1 :], np.asarray(idx, dtype=np.int64))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.asarray(idx, dtype=np.int64))
 
 
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
@@ -199,7 +213,7 @@ def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
         return max_out(t, v) if maximize else sum_out(t, v)
     if maximize:
         return t
-    return Table(t.domain, t.values * len(v.states))
+    return _fresh(t.domain, t.values * len(v.states))
 
 
 def marg_all(

@@ -101,6 +101,20 @@ def test_missing_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_file_that_is_not_utf8_exits_two(tmp_path):
+    bad = tmp_path / "latin.idm"
+    bad.write_bytes((MODELS / "tiny.idm").read_bytes() + b"\xff\n")
+    code, report = run(_solve_args(bad))
+    assert code == 2
+    assert report.startswith(f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff")
+
+
+def test_empty_order_exits_two():
+    code, report = run(_solve_args(MODELS / "tiny.idm", "--order", ""))
+    assert code == 2
+    assert report == "error: --order names unknown variables ['']\n"
+
+
 def test_bad_given_order_exits_two(tmp_path):
     code, report = run(_solve_args(MODELS / "tiny.idm", "--order", "D,x"))
     assert code == 2

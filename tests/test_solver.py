@@ -23,7 +23,7 @@ from idjt import (
 )
 from idjt.compiler import Clique, StrongJunctionTree
 from idjt.solver import CliqueState, extract_policies, global_pair
-from idjt.oracle import joint_probability, total_utility
+from idjt.oracle import brute_force, joint_probability, rollout, total_utility
 from idjt.randmodels import random_model
 
 from conftest import GOLDEN_POLICY_CLIQUES
@@ -136,6 +136,14 @@ def test_absorb_rejects_child_with_live_children():
         absorb(run, 2)
 
 
+def test_absorb_rejects_the_root(tiny_model):
+    tree, *_ = compile_diagram(tiny_model)
+    run = initialize(tree, tiny_model)
+    with pytest.raises(InvariantError, match="is the root: meu contracts it, not absorb"):
+        absorb(run, tree.root)
+    assert meu(run) == 6.0
+
+
 def test_absorption_preserves_global_contraction_on_two_clique_trees():
     rng = np.random.default_rng(11)
     x1 = chance_var("x1", ("0", "1"), 1)
@@ -181,6 +189,17 @@ def test_single_clique_tree_collect_is_noop(tiny_model):
     collect(run)
     assert run.retired == set()
     assert meu(run) == 6.0
+
+
+def test_collect_releases_every_absorbed_clique(golden_model):
+    tree, *_ = compile_diagram(golden_model)
+    run = collect(initialize(tree, golden_model))
+    assert run.states.keys() == {tree.root}
+    assert run.retired == {c.index for c in tree.cliques} - {tree.root}
+    phi, psi = global_pair(run)
+    assert phi.equals(run.states[tree.root].phi) and psi.equals(run.states[tree.root].psi)
+    with pytest.raises(InvariantError, match="gone after an absorb"):
+        global_pair(run, live_only=False)
 
 
 def test_chain_of_two_cliques_equals_one_absorb():
@@ -311,6 +330,41 @@ def test_declaration_order_changes_neither_the_tree_nor_the_solution():
             (p.decision, p.domain, p.choice.values.tolist()) for p in r1.policies
         ]
         assert r2.meu == pytest.approx(r1.meu, rel=1e-9, abs=1e-9)
+
+
+def _relabel_states(base, seed):
+    """The model with every variable's states in a seeded random order."""
+    rng = np.random.default_rng(seed)
+    perm, new = {}, {}
+    for v in base.variables:
+        perm[v.name] = rng.permutation(len(v.states))
+        new[v.name] = type(v)(v.name, v.kind, tuple(v.states[i] for i in perm[v.name]), v.rank)
+
+    def relabel(t):
+        values = t.values
+        for axis, v in enumerate(t.domain):
+            values = values.take(perm[v.name], axis=axis)
+        return Table(tuple(new[v.name] for v in t.domain), values)
+
+    return type(base)(
+        tuple(new[v.name] for v in base.variables),
+        {c: tuple(new[p.name] for p in ps) for c, ps in base.parents.items()},
+        {c: relabel(t) for c, t in base.cpts.items()},
+        tuple(type(u)(u.name, tuple(new[v.name] for v in u.domain), relabel(u.table))
+              for u in base.utilities),
+    )
+
+
+def test_state_relabelling_keeps_meu_and_optimal_policies():
+    # choice tables are not compared: exact ties may break to another state
+    for seed in range(50):
+        base = random_model(seed, structural_zeros=seed % 2 == 1)
+        relabelled = _relabel_states(base, seed)
+        r1 = solve(compile_diagram(base)[0], base)
+        r2 = solve(compile_diagram(relabelled)[0], relabelled)
+        assert r2.meu == pytest.approx(r1.meu, rel=1e-9)
+        achieved = rollout(relabelled, list(r2.policies))
+        assert achieved == pytest.approx(brute_force(relabelled).meu, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -331,3 +331,21 @@ def test_canonical_domain_order_is_stage_then_name():
     assert table.domain == (A, X1)
     # values follow the canonical axes: entry (a=0, x=1) was listed at (x=1, a=0)
     assert table.values[0, 1] == 3.0
+
+
+def test_operation_results_are_read_only_c_ordered_and_unshared():
+    ab = t([A, B], [1.0, 2.0, 3.0, 4.0])
+    xa = t([X1, A], [0.5, 0.25, 2.0, 1.0])
+    ad = t([A, D], [1.0, 3.0, 2.0, 4.0, 0.0, 4.0])
+    results = [
+        extend(ab, {A, B, X1}), multiply(ab, xa), add(ab, xa), divide(ab, xa),
+        sum_out(ab, B), max_out(ab, A), argmax_over(ad, D),
+        sum_out(sum_out(ab, A), B),  # a full reduction is a 0-d table, not a numpy scalar
+        marg_all(ab, xa, [X1], None)[0],  # X1 only in psi: phi is scaled by its state count
+    ]
+    for out in results:
+        assert isinstance(out.values, np.ndarray)
+        assert out.values.shape == tuple(len(v.states) for v in out.domain)
+        assert out.values.flags.c_contiguous and not out.values.flags.writeable
+        for operand in (ab, xa, ad):
+            assert not np.shares_memory(out.values, operand.values)
