@@ -14,6 +14,7 @@ import io
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args
 
 from . import compiler, oracle, solver
 from .model import ParseError, parse_model, validate
@@ -195,9 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("file")
     group = s.add_mutually_exclusive_group()
     group.add_argument("--order", help="comma-separated elimination sequence")
-    group.add_argument(
-        "--heuristic", choices=["min-fill", "min-weight"], default="min-fill"
-    )
+    group.add_argument("--heuristic", choices=get_args(compiler.Heuristic), default="min-fill")
     s.add_argument(
         "--dot",
         action="append",

@@ -92,13 +92,12 @@ class EliminationOrder:
         seen = set(self.sequence)
         if len(seen) != len(self.sequence):
             raise OrderError("sequence repeats a variable")
-        ranks = [v.rank for v in self.sequence]
-        if any(a < b for a, b in zip(ranks, ranks[1:])):
-            bad = next((a, b) for a, b in zip(self.sequence, self.sequence[1:]) if a.rank < b.rank)
-            raise OrderError(
-                f"stage constraint violated: {bad[0].name!r} cannot be eliminated "
-                f"before {bad[1].name!r}"
-            )
+        for a, b in zip(self.sequence, self.sequence[1:]):
+            if a.rank < b.rank:
+                raise OrderError(
+                    f"stage constraint violated: {a.name!r} cannot be eliminated "
+                    f"before {b.name!r}"
+                )
 
     @property
     def alpha(self) -> dict[Variable, int]:
@@ -110,7 +109,7 @@ def _eliminate_vertex(adj: dict[Variable, set[Variable]], v: Variable) -> set[fr
     """Complete v's neighborhood, remove v; returns the edges added."""
     added = set()
     nbrs = adj[v]
-    for a, b in combinations(sorted(nbrs, key=lambda w: w.name), 2):
+    for a, b in combinations(nbrs, 2):
         if b not in adj[a]:
             added.add(_edge(a, b))
             adj[a].add(b)
@@ -311,17 +310,16 @@ def lowest_holders(
 
     Only the cliques holding the domain member with the fewest holders are
     scanned, in index order; an empty domain is held by the lowest-index
-    clique.  Holders are looked up by name, whose hash is cached; the subset
-    test compares whole variables, so a name clash only widens the scan.
+    clique.
     """
     by_index = sorted(cliques, key=lambda c: c.index)
-    holding: dict[str, list[Clique]] = {}
+    holding: dict[Variable, list[Clique]] = {}
     for c in by_index:
         for v in c.members:
-            holding.setdefault(v.name, []).append(c)
+            holding.setdefault(v, []).append(c)
     out: list[Clique | None] = []
     for domain, bound in queries:
-        pool = min((holding.get(v.name, ()) for v in domain), key=len, default=by_index)
+        pool = min((holding.get(v, ()) for v in domain), key=len, default=by_index)
         first = next((d for d in pool if domain <= d.members), None)
         out.append(first if first is not None and first.index < bound else None)
     return out

@@ -6,9 +6,10 @@ ordered by index, and additive utility potentials.  Chance variables are
 grouped into observation stages: stage k holds the variables revealed between
 decisions k and k+1 (stage 0 before the first decision, the last stage never
 observed).  Stages and decision indices induce the temporal order used
-throughout compilation and solving; ``Variable.rank`` is its only record, and
-every temporal block (an observation stage or a single decision) is the set
-of variables sharing one rank.
+throughout compilation and solving; ``Variable.rank`` is the only record of
+both a variable's temporal position and its kind (odd rank means decision),
+and every temporal block (an observation stage or a single decision) is the
+set of variables sharing one rank.
 
 Model file grammar (UTF-8, line oriented, ``#`` starts a comment, tokens
 whitespace separated)::
@@ -62,34 +63,39 @@ class ParseError(Exception):
 class Variable:
     """A discrete chance or decision variable.
 
-    ``rank`` encodes the temporal position: 2k for a chance variable observed
-    in stage k, 2k-1 for the k-th decision.  Lower rank means earlier.
+    ``rank`` is the only record of both temporal position and kind: 2k for a
+    chance variable observed in stage k, 2k-1 for the k-th decision, so odd
+    rank means decision.  Lower rank means earlier.  The hash is the name's
+    (which ``str`` caches); equality compares all three fields, so two
+    variables sharing a name but not their states are two distinct keys.
     """
 
     name: str
-    kind: str
     states: tuple[str, ...]
     rank: int
 
+    def __hash__(self):
+        return hash(self.name)
+
     @property
     def is_decision(self) -> bool:
-        return self.kind == DECISION
+        return self.rank % 2 == 1
 
     @property
     def stage(self) -> int:
         """Observation stage for chance, decision index for decisions."""
-        return (self.rank + 1) // 2 if self.kind == DECISION else self.rank // 2
+        return (self.rank + 1) // 2
 
     def __repr__(self):  # keep test output readable
-        return f"{self.kind[0]}:{self.name}"
+        return f"{'d' if self.is_decision else 'c'}:{self.name}"
 
 
 def chance_var(name: str, states: Iterable[str], stage: int) -> Variable:
-    return Variable(name, CHANCE, tuple(states), 2 * stage)
+    return Variable(name, tuple(states), 2 * stage)
 
 
 def decision_var(name: str, states: Iterable[str], index: int) -> Variable:
-    return Variable(name, DECISION, tuple(states), 2 * index - 1)
+    return Variable(name, tuple(states), 2 * index - 1)
 
 
 @dataclass(frozen=True)

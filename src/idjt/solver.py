@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree, lowest_holders
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, argmax_over, extend, marg_all, multiply
+from .tables import Table, add, argmax_over, marg_all, multiply
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -124,8 +124,7 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
         raise InvariantError(
             f"probability potential is negative at the max step over {decision.name!r}"
         )
-    denom = np.maximum(np.abs(hi), np.abs(lo))
-    spread = np.where(denom > 0, (hi - lo) / np.where(denom > 0, denom, 1.0), 0.0)
+    spread = np.where(hi > 0, (hi - lo) / np.where(hi > 0, hi, 1.0), 0.0)
     return float(np.max(spread)) if spread.size else 0.0
 
 
@@ -140,9 +139,10 @@ def _recorder(run: SolveRun, clique_index: int):
                 f"probability potential is not a non-negative constant in decision "
                 f"{decision.name!r} at its max step (relative spread {worst:.3e})"
             )
-        if decision not in rho.domain:
-            rho = extend(rho, set(rho.domain) | {decision})
-        choice = argmax_over(rho, decision)  # ties go to the lowest state index
+        if decision in rho.domain:
+            choice = argmax_over(rho, decision)  # ties go to the lowest state index
+        else:  # rho is constant in the decision: every state ties, so state 0 wins
+            choice = Table(rho.domain, np.zeros(rho.values.shape, dtype=np.int64))
         if any(v.rank >= decision.rank for v in choice.domain):
             raise InvariantError(f"policy domain of {decision.name!r} reaches into its future")
         run.max_steps[decision] = (clique_index, Policy(decision, choice.domain, choice))

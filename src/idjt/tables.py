@@ -245,12 +245,8 @@ def marg_all(
 
     rho = multiply(phi, psi)
     for v in order:
-        if v.is_decision:
-            if on_decision is not None:
-                on_decision(v, phi, rho)
-            phi = _marg_one(phi, v, maximize=True)
-            rho = _marg_one(rho, v, maximize=True)
-        else:
-            phi = _marg_one(phi, v, maximize=False)
-            rho = _marg_one(rho, v, maximize=False)
+        if v.is_decision and on_decision is not None:
+            on_decision(v, phi, rho)
+        phi = _marg_one(phi, v, maximize=v.is_decision)
+        rho = _marg_one(rho, v, maximize=v.is_decision)
     return phi, divide(rho, phi)

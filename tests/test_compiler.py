@@ -502,6 +502,18 @@ def test_initialize_hosts_like_a_linear_scan():
             assert set(run.states[k].psi.domain) == want_psi
 
 
+def test_lowest_holders_tells_apart_variables_that_share_a_name():
+    two = chance_var("x", ("0", "1"), 0)
+    three = chance_var("x", ("0", "1", "2"), 0)
+    y = chance_var("y", ("0", "1"), 0)
+    cliques = [Clique(frozenset({two, y}), 1), Clique(frozenset({three}), 2),
+               Clique(frozenset({three, y}), 3)]
+    queries = [({three}, math.inf), ({two}, math.inf), ({three, y}, math.inf),
+               ({two, y}, math.inf), ({three}, 2)]
+    holders = compiler.lowest_holders(cliques, [(frozenset(d), b) for d, b in queries])
+    assert [h.index if h else None for h in holders] == [2, 1, 3, 1, None]
+
+
 def test_tree_links_follow_the_elimination_tree():
     # the walk of a clique covers its members numbered at or above its index;
     # the clique ending at y hangs below the clique whose walk holds up(y)

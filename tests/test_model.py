@@ -1,5 +1,7 @@
 """Parsing, serialization round-trips, semantic validation, temporal order."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from idjt import (
     ParseError,
     Table,
     Utility,
+    Variable,
     chance_var,
     decision_var,
     diagrams_equal,
@@ -322,3 +325,40 @@ def test_no_path_from_decision_into_its_past(golden_model):
     for d in golden_model.decisions:
         for reached in golden_model.descendants(d):
             assert reached.rank > d.rank
+
+
+def test_kind_and_stage_round_trip_through_the_rank():
+    for k in range(6):
+        x = chance_var("x", ("0", "1"), k)
+        assert (x.is_decision, x.stage, x.rank) == (False, k, 2 * k)
+        assert repr(x) == "c:x"
+    for k in range(1, 6):
+        d = decision_var("D", ("u", "v"), k)
+        assert (d.is_decision, d.stage, d.rank) == (True, k, 2 * k - 1)
+        assert repr(d) == "d:D"
+
+
+# ---------------------------------------------------------------------------
+# variable identity
+
+
+def test_a_variable_is_its_name_states_and_rank():
+    assert [f.name for f in dataclasses.fields(Variable)] == ["name", "states", "rank"]
+
+
+def test_equal_variables_hash_equal():
+    a = chance_var("x", ["0", "1"], 2)
+    b = Variable("x", ("0", "1"), 4)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_same_name_with_other_states_is_another_key():
+    a = chance_var("x", ("0", "1"), 1)
+    b = chance_var("x", ("0", "1", "2"), 1)
+    assert a != b
+    assert hash(a) == hash(b)
+    keyed = {a: "two", b: "three"}
+    assert len(keyed) == 2
+    assert (keyed[a], keyed[b]) == ("two", "three")

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idjt import (
     InvariantError,
@@ -289,6 +291,26 @@ def test_utility_shift_moves_meu_and_keeps_policies():
         assert p1.choice.values.tolist() == p2.choice.values.tolist()
 
 
+def _within(got, want, scale):
+    return abs(got - want) <= 1e-9 * max(1.0, abs(want), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), c=st.floats(-100, 100), data=st.data())
+def test_shifting_one_utility_by_c_shifts_the_meu_by_c(seed, c, data):
+    # choice tables are not compared: exact ties may break to another state
+    base = random_model(seed, structural_zeros=seed % 2 == 1)
+    j = data.draw(st.integers(0, len(base.utilities) - 1), label="utility")
+    u = base.utilities[j]
+    shifted_u = type(u)(u.name, u.domain, Table(u.table.domain, u.table.values + c))
+    utilities = base.utilities[:j] + (shifted_u,) + base.utilities[j + 1 :]
+    shifted = type(base)(base.variables, dict(base.parents), dict(base.cpts), utilities)
+    r1 = solve(compile_diagram(base)[0], base)
+    r2 = solve(compile_diagram(shifted)[0], shifted)
+    assert _within(r2.meu, r1.meu + c, abs(c))
+    assert _within(rollout(shifted, list(r2.policies)), brute_force(shifted).meu, 0.0)
+
+
 @pytest.mark.parametrize("k", [0.5, 4.0])
 def test_utility_scaling_scales_meu_exactly_and_keeps_policies(k):
     # a power of two scales every product and quotient exactly
@@ -338,7 +360,7 @@ def _relabel_states(base, seed):
     perm, new = {}, {}
     for v in base.variables:
         perm[v.name] = rng.permutation(len(v.states))
-        new[v.name] = type(v)(v.name, v.kind, tuple(v.states[i] for i in perm[v.name]), v.rank)
+        new[v.name] = type(v)(v.name, tuple(v.states[i] for i in perm[v.name]), v.rank)
 
     def relabel(t):
         values = t.values
@@ -379,6 +401,20 @@ def test_policy_cliques_and_domains_on_the_golden_model(golden_model):
     domains = {p.decision.name: {v.name for v in p.domain} for p in result.policies}
     assert domains["D2"] == {"e"}
     assert domains["D1"] == {"b"}
+
+
+def test_decision_in_no_potential_takes_its_first_state():
+    model = parse_model(
+        "chance x states 0 1 stage 0\ndecision D states u v index 1\n"
+        "cpt x : .5 .5\nutility w over x : 1 2\n"
+    )
+    tree, *_ = compile_diagram(model)
+    result = solve(tree, model)
+    (policy,) = result.policies
+    assert policy.domain == ()
+    assert result.policy_clique == {"D": 2}
+    assert policy.decision.states[int(policy.choice.values)] == "u"  # every state ties
+    assert result.meu == 1.5 == brute_force(model).meu
 
 
 def test_policy_domains_strictly_precede_their_decision():
