@@ -1,8 +1,9 @@
 """Command-line entry point: parse, compile, solve, report.
 
 Exit codes: 0 success, 1 validation failure, 2 syntax error, bad flag, or
-unreadable input or unwritable DOT path, 3 internal invariant breach, 4
-oracle disagreement under ``--check``.
+unreadable input or unwritable DOT path, 3 internal invariant breach or
+memory exhausted while compiling or solving, 4 oracle disagreement under
+``--check``.
 """
 
 from __future__ import annotations
@@ -114,6 +115,9 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 2, out.getvalue()
     except (compiler.CompileError, solver.InvariantError) as e:
         emit(f"internal invariant breach: {e}")
+        return 3, out.getvalue()
+    except MemoryError as e:
+        emit(f"out of memory: {str(e) or 'a table could not be allocated'}")
         return 3, out.getvalue()
 
     emit(f"model: {config.input_path}")

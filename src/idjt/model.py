@@ -323,7 +323,8 @@ def parse_model(text: str) -> InfluenceDiagram:
 
     Semantic checks (normalization, acyclicity, temporal consistency) are
     deferred to :func:`validate`; this raises :class:`ParseError` only for
-    syntax problems, unresolved or duplicate names, and wrong table sizes.
+    syntax problems, unresolved or duplicate names, wrong table sizes, and
+    tables numpy cannot hold.
     """
     declared: dict[Variable, _Line] = {}  # declaration order
     by_name: dict[str, Variable] = {}
@@ -361,6 +362,12 @@ def parse_model(text: str) -> InfluenceDiagram:
                 except ValueError:
                     raise line.error(f"expected a number, found {tok!r}", line.pos + i) from None
             raise
+
+    def table(line: _Line, what: str, dom: list[Variable], vals: list[float]) -> Table:
+        try:
+            return Table.from_flat(dom, vals)
+        except (ValueError, MemoryError) as e:  # e.g. more axes than numpy's 64
+            raise line.error(f"{what} cannot be stored as a table: {e}", 1) from None
 
     for number, raw in enumerate(text.splitlines(), 1):
         body = raw.partition("#")[0]
@@ -417,7 +424,7 @@ def parse_model(text: str) -> InfluenceDiagram:
                 raise line.error(f"utility {uname!r} needs {expected} values, found {len(vals)}", 1)
             if len(set(dom)) != len(dom):
                 raise line.error(f"utility {uname!r} repeats a variable", 1)
-            utilities.append(Utility(uname, tuple(dom), Table.from_flat(dom, vals)))
+            utilities.append(Utility(uname, tuple(dom), table(line, f"utility {uname!r}", dom, vals)))
         else:
             raise line.error(f"unknown directive {head!r}", 0)
 
@@ -437,7 +444,7 @@ def parse_model(text: str) -> InfluenceDiagram:
         if len(vals) != expected:
             raise line.error(f"cpt of {v.name!r} needs {expected} values, found {len(vals)}", 1)
         parents[v.name] = tuple(given)
-        cpts[v.name] = Table.from_flat(dom, vals)
+        cpts[v.name] = table(line, f"cpt of {v.name!r}", dom, vals)
 
     return InfluenceDiagram(tuple(declared), parents, cpts, tuple(utilities))
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree, lowest_holders
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, argmax_over, marg_all, multiply
+from .tables import Table, add, argmax_over, marg_all, multiply, reduce_axis
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -118,8 +118,8 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
     if decision not in phi.domain:
         return 0.0
     axis = phi.domain.index(decision)
-    hi = phi.values.max(axis=axis)
-    lo = phi.values.min(axis=axis)
+    hi = reduce_axis(np.maximum, phi.values, axis)
+    lo = reduce_axis(np.minimum, phi.values, axis)
     if np.any(lo < 0):
         raise InvariantError(
             f"probability potential is negative at the max step over {decision.name!r}"

@@ -11,10 +11,37 @@ generalized marginalization ``marg_all`` eliminates a set of variables one at
 a time in decreasing temporal rank, summing out chance variables and
 maximizing out decisions, carrying the pair (phi, phi*psi) so the utility
 component can be recovered by a single division at the end.
+
+Large tables are streamed.  Canonical order puts the first variable to be
+eliminated on the last axis, so numpy, which runs one inner loop per run of
+trailing axes its operands share, would work through a clique of twenty-odd
+2-state axes two cells at a time.  From STREAM_CELLS cells on:
+
+- ``multiply`` and ``add`` give each operand a contiguous (or constant) run
+  over the output's trailing block of BLOCK or more cells, copying a small
+  operand over the block, and make one call; when an operand could only be
+  copied at more than half the output's size and the other operand has at
+  most BLOCK cells, they make one call per cell of the small operand.
+- ``sum_out``, ``max_out``, the max in ``argmax_over`` and the solver's
+  constancy check view the table as (pre, n, post) around the axis; when
+  ``post`` is shorter than BLOCK they fold the n slices into each output
+  column with ``ufunc(out, slice, out=out)``, strided calls of ``pre`` cells.
+  ``argmax_over`` then writes each state's index where it attains the max,
+  the last state first, so the lowest index wins, as in ``np.argmax``.
+
+The results are bit for bit numpy's (up to a NaN's sign and payload): each
+output cell of a product or sum is the same single rounding of the same two
+values, and a fold adds or maxes the slices in the order numpy's reduce uses
+along a strided axis, starting a sum from 0.0 as numpy does.  One case keeps
+numpy's reduce: a contiguous last axis of PAIRWISE_MIN or more states, which
+numpy reduces with several accumulators (pairwise summation, and a max that
+may pick the other signed zero).  So does a NaN in an argmax's max.  Smaller
+tables take numpy's own calls, at no added cost per call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -22,6 +49,11 @@ import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import Variable
+
+
+STREAM_CELLS = 1 << 14  # tables below this many cells keep numpy's own broadcasts and reductions
+BLOCK = 64  # the fewest cells an inner loop of a streamed kernel runs over
+PAIRWISE_MIN = 8  # numpy reduces a contiguous run this long with several accumulators
 
 
 class UndefinedDivisionError(ZeroDivisionError):
@@ -68,13 +100,14 @@ class Table:
     def from_flat(cls, domain: Sequence["Variable"], flat) -> "Table":
         """Build from values listed row-major in the *given* domain order."""
         domain = tuple(domain)
+        if len(set(domain)) != len(domain):
+            raise ValueError("domain repeats a variable")
         shape = tuple(len(v.states) for v in domain)
         vals = np.asarray(list(flat), dtype=np.float64).reshape(shape)
         canon = _canonical(domain)
         if canon != domain:
-            perm = [domain.index(v) for v in canon]
-            vals = vals.transpose(perm)
-        return cls(canon, vals)
+            vals = vals.transpose([domain.index(v) for v in canon])
+        return _fresh(canon, vals)
 
     @classmethod
     def scalar(cls, x: float) -> "Table":
@@ -122,11 +155,12 @@ class Table:
 
 
 def _fresh(domain: tuple["Variable", ...], values) -> Table:
-    """Wrap an array an operation below just computed, without the constructor's copy.
+    """Wrap an array this module just computed, without the constructor's checks and copy.
 
-    The operations build canonical domains and matching shapes, and nothing
-    else holds the array; a copy would double the allocation and the memory
-    traffic of every operation on a multi-megabyte table.
+    ``from_flat`` and the operations build canonical domains and matching
+    shapes, and nothing else holds the array; a copy would double the
+    allocation and the memory traffic of every operation on a multi-megabyte
+    table.
     """
     t = object.__new__(Table)
     object.__setattr__(t, "domain", domain)
@@ -156,14 +190,74 @@ def extend(t: Table, target: Iterable["Variable"]) -> Table:
     return _fresh(target, np.broadcast_to(_embed(t, target), shape).copy())
 
 
-def multiply(t1: Table, t2: Table) -> Table:
+def _over_block(x: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarray | None:
+    """x as an operand whose inner loop runs over the output's trailing block ``shape[k:]``.
+
+    x already qualifies when it spans the whole block (a contiguous run) or
+    none of it (a constant).  Otherwise it is copied with the block filled
+    in, unless the copy would hold more than half the output's cells: then
+    None.
+    """
+    tail = x.shape[k:]
+    if tail == shape[k:] or tail.count(1) == len(tail):
+        return x
+    cells = math.prod(x.shape[:k]) * math.prod(shape[k:])
+    if 2 * cells > math.prod(shape):
+        return None
+    return np.broadcast_to(x, x.shape[:k] + shape[k:]).copy()
+
+
+def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``ufunc(a, b)`` broadcast to a large output as a few long ufunc calls.
+
+    ``ufunc`` is np.add or np.multiply, so operand order does not matter.
+    numpy runs a broadcast with one inner loop per run of trailing axes that
+    every operand spans alike, and in canonical order that run is often a
+    single 2-state axis.  Here each operand is made to span the output's
+    trailing block of BLOCK or more cells (``_over_block``), and one call
+    covers the output in inner loops of the whole block.  Where an operand
+    cannot be, and the other has at most BLOCK cells, the call is made once
+    per cell of the small operand, over the strided view of the output that
+    cell applies to.  Otherwise numpy broadcasts as it is.
+    """
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    out = np.empty(shape)
+    if out.size < STREAM_CELLS:
+        return ufunc(a, b, out=out)
+    k, block = len(shape), 1
+    while k and block < BLOCK:
+        k -= 1
+        block *= shape[k]
+    a_run, b_run = _over_block(a, shape, k), _over_block(b, shape, k)
+    if a_run is not None and b_run is not None:
+        return ufunc(a_run, b_run, out=out)
+    small = min((a, b), key=lambda x: x.size)
+    if small.size > BLOCK:
+        return ufunc(a, b, out=out)
+    big = b if small is a else a
+    for cell in np.ndindex(small.shape):
+        at = tuple(i if n > 1 else slice(None) for i, n in zip(cell, small.shape))
+        big_at = tuple(
+            (i if m > 1 else 0) if n > 1 else slice(None)
+            for i, n, m in zip(cell, small.shape, big.shape)
+        )
+        ufunc(big[big_at], small[cell], out=out[at])
+    return out
+
+
+def _pointwise(ufunc, t1: Table, t2: Table) -> Table:
     union = _union_domain(t1, t2)
-    return _fresh(union, _embed(t1, union) * _embed(t2, union))
+    if t1.values.size * t2.values.size < STREAM_CELLS:  # so is the output
+        return _fresh(union, ufunc(_embed(t1, union), _embed(t2, union)))
+    return _fresh(union, _stream(ufunc, _embed(t1, union), _embed(t2, union)))
+
+
+def multiply(t1: Table, t2: Table) -> Table:
+    return _pointwise(np.multiply, t1, t2)
 
 
 def add(t1: Table, t2: Table) -> Table:
-    union = _union_domain(t1, t2)
-    return _fresh(union, _embed(t1, union) + _embed(t2, union))
+    return _pointwise(np.add, t1, t2)
 
 
 def divide(num: Table, den: Table) -> Table:
@@ -186,24 +280,87 @@ def _axis_of(t: Table, v: "Variable") -> int:
         raise ValueError(f"variable {v.name!r} not in table domain") from None
 
 
+def _slices(values: np.ndarray, axis: int) -> np.ndarray | None:
+    """values viewed as (pre, n, post) around ``axis``, for a kernel that streams them.
+
+    A call of such a kernel covers either a whole slice, with contiguous runs
+    of ``post`` cells, or one column of it, ``pre`` cells at a fixed stride;
+    one of the two must reach BLOCK cells.  None where neither does, and for
+    a table under STREAM_CELLS cells.
+    """
+    if values.size < STREAM_CELLS:
+        return None
+    n = values.shape[axis]
+    post = math.prod(values.shape[axis + 1 :])
+    v = values.reshape(-1, n, post)
+    return v if max(v.shape[0], post) >= BLOCK else None
+
+
+def _reduced_shape(values: np.ndarray, axis: int) -> tuple[int, ...]:
+    return values.shape[:axis] + values.shape[axis + 1 :]
+
+
+def reduce_axis(ufunc, values: np.ndarray, axis: int) -> np.ndarray:
+    """``ufunc.reduce(values, axis=axis)`` for np.add, np.maximum or np.minimum, bit for bit.
+
+    numpy reduces with one inner loop per run of the ``post`` cells after
+    ``axis``.  When that run is shorter than BLOCK, a large table instead
+    folds the n slices into each output column with
+    ``ufunc(out, slice, out=out)``: the roundings numpy performs, in the same
+    order, as a few long strided calls.  On a contiguous last axis of
+    PAIRWISE_MIN or more cells numpy keeps several accumulators (pairwise
+    summation; max's pick among signed zeros), so that case stays with numpy.
+    """
+    v = _slices(values, axis)
+    if v is None or v.shape[2] >= BLOCK or (v.shape[2] == 1 and v.shape[1] >= PAIRWISE_MIN):
+        return ufunc.reduce(values, axis=axis)
+    n = v.shape[1]
+    out = np.empty((v.shape[0], v.shape[2]))
+    for j in range(v.shape[2]):
+        o = out[:, j]
+        if n == 1:
+            np.copyto(o, v[:, 0, j])
+        else:
+            ufunc(v[:, 0, j], v[:, 1, j], out=o)
+        for i in range(2, n):
+            ufunc(o, v[:, i, j], out=o)
+    if ufunc is np.add:
+        out += 0.0  # numpy's sum starts from add's identity 0.0, so -0.0 slices sum to +0.0
+    return out.reshape(_reduced_shape(values, axis))
+
+
 def sum_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], t.values.sum(axis=axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], reduce_axis(np.add, t.values, axis))
 
 
 def max_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], t.values.max(axis=axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], reduce_axis(np.maximum, t.values, axis))
 
 
 def argmax_over(t: Table, decision: "Variable") -> Table:
     """Index of the maximizing state of ``decision`` per remaining configuration.
 
-    Ties resolve to the lowest state index.
+    Ties resolve to the lowest state index, as in ``np.argmax``.  A large
+    table takes the max first, then writes each state's index where it
+    attains the max, from the last state down, so the lowest such index
+    stays.  A NaN in the max leaves the table to ``np.argmax``, where the
+    first NaN wins.
     """
     axis = _axis_of(t, decision)
-    idx = np.argmax(t.values, axis=axis)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.asarray(idx, dtype=np.int64))
+    values = t.values
+    domain = t.domain[:axis] + t.domain[axis + 1 :]
+    v = _slices(values, axis)
+    top = None if v is None else reduce_axis(np.maximum, values, axis)
+    if top is None or np.isnan(top).any():
+        return _fresh(domain, np.asarray(np.argmax(values, axis=axis), dtype=np.int64))
+    top = top.reshape(v.shape[0], v.shape[2])
+    idx = np.empty(top.shape, dtype=np.int64)
+    for j in [slice(None)] if v.shape[2] >= BLOCK else range(v.shape[2]):
+        for i in range(v.shape[1] - 1, -1, -1):
+            np.copyto(idx[:, j], i, where=v[:, i, j] == top[:, j])
+    return _fresh(domain, idx.reshape(_reduced_shape(values, axis)))
 
 
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:

@@ -96,6 +96,44 @@ def test_syntax_error_exits_two(tmp_path):
     assert "syntax error" in report
 
 
+def test_table_with_more_axes_than_numpy_holds_exits_two(tmp_path):
+    names = [f"v{i}" for i in range(70)]
+    text = "".join(f"chance {n} states s stage 0\ncpt {n} : 1\n" for n in names)
+    text += f"decision D states a b index 1\nutility u over {' '.join(names)} : 1\n"
+    huge = tmp_path / "huge.idm"
+    huge.write_text(text)
+    code, report = run(_solve_args(huge))
+    assert code == 2
+    assert report.startswith("syntax error: line 142, column 9: utility 'u' cannot be stored as a table: ")
+    assert report.count("\n") == 1
+    cpt = tmp_path / "cpt.idm"
+    text = text.replace("cpt v69 : 1", f"cpt v69 given {' '.join(names[:69])} : 1")
+    cpt.write_text(text.replace(f"over {' '.join(names)} : 1", "over D : 1 2"))
+    code, report = run(_solve_args(cpt))
+    assert code == 2
+    assert report.startswith("syntax error: line 140, column 5: cpt of 'v69' cannot be stored as a table: ")
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 8.00 TiB for an array"), "Unable to allocate 8.00 TiB for an array"),
+        (MemoryError(), "a table could not be allocated"),
+    ],
+)
+def test_memory_exhausted_in_compile_or_solve_exits_three(monkeypatch, error, line):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("idjt.solver.solve", exhausted)
+    code, report = run(_solve_args(MODELS / "tiny.idm"))
+    assert (code, report) == (3, f"out of memory: {line}\n")
+    monkeypatch.undo()
+    monkeypatch.setattr("idjt.compiler.compile_diagram", exhausted)
+    code, report = run(_solve_args(MODELS / "tiny.idm"))
+    assert (code, report) == (3, f"out of memory: {line}\n")
+
+
 def test_missing_file_exits_two(tmp_path):
     code, report = run(_solve_args(tmp_path / "nope.idm"))
     assert code == 2

@@ -3,6 +3,7 @@ check that every function the benchmark traces still exists."""
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,10 +12,11 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def _run_script(name, *args):
+def _run_script(name, *args, stdin=None):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
+        input=stdin,
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -52,3 +54,25 @@ def test_every_traced_benchmark_target_resolves():
     assert tracing.TARGETS
     for module_name, attr, span in tracing.TARGETS:
         assert hasattr(importlib.import_module(module_name), attr), span
+
+
+def _bench_output(metrics):
+    line = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics})
+    return f"wide seed 1: 2 models\n  pass_s 0.4 s\n{line}\n"
+
+
+def test_check_bench_line_accepts_a_complete_result_and_rejects_broken_ones():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    good = {m["name"]: {"value": 1.5, "unit": m["unit"]} for m in bench["end_to_end"]}
+    out = _run_script("check_bench_line.py", stdin=_bench_output(good))
+    assert out.returncode == 0, out.stdout
+    null = {**good, "total_cells": {"value": None, "unit": "cells", "missing": "no report"}}
+    nan = _bench_output(good).replace('"pass_s": {"value": 1.5', '"pass_s": {"value": NaN')
+    cases = [
+        (_bench_output(null), "error: metric total_cells is None, not a finite number (no report)\n"),
+        (nan, "error: the last line is not a JSON result: non-finite number NaN\n"),
+        (_bench_output(good) + "done\n", "error: 1 line(s) follow the result line\n"),
+    ]
+    for stdin, message in cases:
+        out = _run_script("check_bench_line.py", stdin=stdin)
+        assert (out.returncode, out.stdout) == (1, message)

@@ -16,15 +16,21 @@ from idjt import (
     UndefinedDivisionError,
     add,
     argmax_over,
+    brute_force,
     chance_var,
+    compile_diagram,
     decision_var,
     divide,
     extend,
     marg_all,
     max_out,
     multiply,
+    parse_model,
+    rollout,
+    solve,
     sum_out,
 )
+from idjt.tables import BLOCK, PAIRWISE_MIN, STREAM_CELLS
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -349,3 +355,155 @@ def test_operation_results_are_read_only_c_ordered_and_unshared():
         assert out.values.flags.c_contiguous and not out.values.flags.writeable
         for operand in (ab, xa, ad):
             assert not np.shares_memory(out.values, operand.values)
+
+
+# ---------------------------------------------------------------------------
+# large tables: the streamed kernels against numpy on the same arrays
+
+VALUE_POOL = np.array([-0.0, 0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 0.1, 0.7, 1 / 3, np.inf, -np.inf])
+
+
+def _same_bits(got, want):
+    """Equal dtype, shape and bits; NaNs must sit in the same cells (their sign and payload may differ)."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype != want.dtype or got.shape != want.shape:
+        return False
+    if got.dtype != np.float64:
+        return np.array_equal(got, want)
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.int64), want[~nan].view(np.int64)
+    )
+
+
+def _variables(counts):
+    return tuple(
+        chance_var(f"v{i:02d}", tuple(f"s{j}" for j in range(n)), 0) for i, n in enumerate(counts)
+    )
+
+
+def _large_reduction_cases():
+    """An n-state axis (n = 1..9) at every position of a table of STREAM_CELLS or more cells."""
+    base = (6, 5, 3, 2, 4, 2, 3, 2, 2)  # 17280 cells
+    for n in range(1, 10):
+        for pos in range(len(base) + 1):
+            yield base[:pos] + (n,) + base[pos:], pos
+
+
+@pytest.mark.parametrize("fill", ["uniform", "pool"])
+def test_large_reductions_match_numpy_bit_for_bit(fill):
+    rng = np.random.default_rng(11)
+    streamed = pairwise = 0
+    for shape, axis in _large_reduction_cases():
+        assert np.prod(shape) >= STREAM_CELLS
+        values = rng.random(shape) if fill == "uniform" else rng.choice(VALUE_POOL[:10], size=shape)
+        domain = _variables(shape)
+        table = Table(domain, values)
+        post = int(np.prod(shape[axis + 1 :]))
+        streamed += post < BLOCK
+        pairwise += post == 1 and shape[axis] >= PAIRWISE_MIN
+        v = domain[axis]
+        assert _same_bits(sum_out(table, v).values, values.sum(axis=axis)), (shape, axis)
+        assert _same_bits(max_out(table, v).values, values.max(axis=axis)), (shape, axis)
+        assert _same_bits(argmax_over(table, v).values, np.argmax(values, axis=axis)), (shape, axis)
+    assert streamed and pairwise  # columns were folded, and numpy kept its pairwise sums
+
+
+@pytest.mark.parametrize("shape", [(64, 4, 64), (4096, 4, 2)])  # whole slices; one column a call
+def test_large_argmax_ties_go_to_the_lowest_index(shape):
+    values = np.zeros(shape)
+    values[:, 1:, :] = 1.0  # states 1..3 tie for the max
+    values[0, 3, :] = 2.0  # state 3 wins alone
+    values[1, :, :] = -0.0  # signed zeros tie with each other
+    values[1, 2, :] = 0.0
+    domain = _variables(shape)
+    got = argmax_over(Table(domain, values), domain[1]).values
+    assert _same_bits(got, np.argmax(values, axis=1))
+    assert set(np.unique(got).tolist()) == {0, 1, 3}
+
+
+def test_large_argmax_with_nan_matches_numpy():
+    rng = np.random.default_rng(5)
+    shape = (512, 3, 2, 2, 2, 2)
+    values = rng.choice(VALUE_POOL[:10], size=shape)
+    values[7, 2, 0, 1, 1, 0] = np.nan
+    values[9, :, 1, 0, 0, 1] = np.nan  # every state NaN: the first one wins
+    domain = _variables(shape)
+    table = Table(domain, values)
+    for axis in range(len(shape)):
+        with np.errstate(invalid="ignore"):
+            got = argmax_over(table, domain[axis]).values
+        assert _same_bits(got, np.argmax(values, axis=axis)), axis
+        assert _same_bits(max_out(table, domain[axis]).values, values.max(axis=axis)), axis
+
+
+def _numpy_broadcast(op, t1, t2):
+    """The reference: numpy's own broadcasting of both operands over the canonical union."""
+    union = tuple(sorted(set(t1.domain) | set(t2.domain), key=lambda v: (v.rank, v.name)))
+
+    def embed(t):
+        return t.values.reshape([len(v.states) if v in t.domain else 1 for v in union])
+
+    return op(embed(t1), embed(t2))
+
+
+def _subtable(rng, domain, keep):
+    kept = tuple(v for v in domain if keep(v))
+    values = rng.choice(VALUE_POOL, size=tuple(len(v.states) for v in kept))
+    return Table(kept, values)
+
+
+def test_large_multiply_and_add_match_numpy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    domain = _variables((3, 2, 4, 2, 5, 2, 3, 2, 2, 1, 2, 3))  # 69120 cells
+    last6 = set(domain[-6:])  # the trailing block of BLOCK or more cells
+    pairs = [
+        # interleaved domains: each operand copied over the trailing block, or used as it is
+        (lambda v: v.name[-1] in "02468", lambda v: v.name[-1] in "13579"),
+        (lambda v: domain.index(v) % 3 != 1, lambda v: domain.index(v) % 3 != 2),
+        # one operand as large as the output but for one block variable, the other small:
+        # one call per cell of the small operand
+        (lambda v: v is not domain[-2], lambda v: v in (domain[-2], domain[-1])),
+        (lambda v: v in (domain[-6], domain[-4]), lambda v: v is not domain[-4]),
+        # both as large as the output but for one block variable: numpy's own broadcast
+        (lambda v: v is not domain[-2], lambda v: v is not domain[-4]),
+        # a scalar, equal domains, and an operand spanning none of the block
+        (lambda v: False, lambda v: True),
+        (lambda v: True, lambda v: True),
+        (lambda v: v not in last6, lambda v: v in last6),
+    ]
+    for i, (keep1, keep2) in enumerate(pairs):
+        for _ in range(3):
+            t1, t2 = _subtable(rng, domain, keep1), _subtable(rng, domain, keep2)
+            for a, b in ((t1, t2), (t2, t1)):
+                with np.errstate(invalid="ignore"):
+                    prod, total = multiply(a, b), add(a, b)
+                    want_prod, want_total = _numpy_broadcast(np.multiply, a, b), _numpy_broadcast(np.add, a, b)
+                assert prod.values.size >= STREAM_CELLS
+                assert _same_bits(prod.values, want_prod), i
+                assert _same_bits(total.values, want_total), i
+                assert prod.values.flags.c_contiguous and not prod.values.flags.writeable
+
+
+def test_large_clique_solve_agrees_with_brute_force():
+    # A hidden cause h, 13 symptoms seen before the decision and a utility on
+    # (D, h): one clique of 2^15 cells, so initialization, the utility product,
+    # the sums and the max step all take the streamed kernels, while the state
+    # space stays within the oracle's cap.
+    rng = np.random.default_rng(8)
+    symptoms = [f"o{i:02d}" for i in range(13)]
+    lines = [f"chance {o} states n y stage 0" for o in symptoms]
+    lines += ["chance h states no yes stage 1", "decision D states wait act index 1"]
+    p = float(rng.uniform(0.1, 0.9))
+    lines.append(f"cpt h : {p!r} {1 - p!r}")
+    for o in symptoms:
+        q, r = rng.uniform(0.05, 0.95, 2).tolist()
+        lines.append(f"cpt {o} given h : {q!r} {1 - q!r} {r!r} {1 - r!r}")
+    lines.append("utility u over D h : " + " ".join(repr(x) for x in rng.uniform(-10, 10, 4).tolist()))
+    diagram = parse_model("\n".join(lines) + "\n")
+    tree = compile_diagram(diagram)[0]
+    assert max(c.weight for c in tree.cliques) >= 2 * STREAM_CELLS
+    result = solve(tree, diagram)
+    ref = brute_force(diagram).meu
+    assert abs(result.meu - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert abs(rollout(diagram, list(result.policies)) - ref) <= 1e-9 * max(1.0, abs(ref))
