@@ -8,6 +8,13 @@ clique to the lowest-index clique containing its separator.  The resulting
 rooted tree lets sum- and max-marginalizations interleave soundly during the
 collect pass: on every edge the separator temporally precedes the rest of the
 child clique.
+
+Ordering, triangulation and clique extraction number a graph's vertices
+0..n-1 once, in canonical (rank, name) order, and hold each neighbourhood
+N(v) as one ``int`` bitset, so no set operation calls ``Variable.__hash__``.
+The fill count of v is half the sum over a in N(v) of
+``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
+neighbour the bits of N(v) it lacked.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Literal, Sequence, get_args
+from functools import cached_property
+from itertools import combinations, groupby
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
 
@@ -33,6 +41,14 @@ class OrderError(ValueError):
 Heuristic = Literal["min-fill", "min-weight"]
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The ids in a bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class MoralGraph:
     """Undirected graph over all variables; adjacency is symmetric, no loops."""
@@ -40,22 +56,20 @@ class MoralGraph:
     vertices: tuple[Variable, ...]
     edges: frozenset[frozenset[Variable]]
 
-    def adjacency(self) -> dict[Variable, set[Variable]]:
-        adj: dict[Variable, set[Variable]] = {v: set() for v in self.vertices}
+    @cached_property
+    def _bits(self) -> tuple[tuple[Variable, ...], dict[Variable, int], tuple[int, ...]]:
+        """(vs, ids, adj): vertex i is vs[i], ids inverts vs, adj[i] is N(i) as a bitset."""
+        vs = tuple(sorted(self.vertices, key=lambda v: (v.rank, v.name)))
+        ids = {v: i for i, v in enumerate(vs)}
+        adj = [0] * len(vs)
         for e in self.edges:
-            u, v = tuple(e)
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+            a, b = map(ids.__getitem__, e)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        return vs, ids, tuple(adj)
 
     def has_edge(self, u: Variable, v: Variable) -> bool:
         return frozenset((u, v)) in self.edges
-
-
-def _edge(u: Variable, v: Variable) -> frozenset[Variable]:
-    if u == v:
-        raise ValueError(f"self loop at {u.name!r}")
-    return frozenset((u, v))
 
 
 def moralize(diagram: InfluenceDiagram) -> MoralGraph:
@@ -64,16 +78,12 @@ def moralize(diagram: InfluenceDiagram) -> MoralGraph:
     Temporal (information) links into decisions are not part of the graph;
     only genuine arcs and the completions above contribute edges.
     """
-    edges: set[frozenset[Variable]] = set()
-    for child in diagram.chance_variables:
-        ps = diagram.parents[child.name]
-        for p in ps:
-            edges.add(_edge(p, child))
-        for a, b in combinations(ps, 2):
-            edges.add(_edge(a, b))
-    for u in diagram.utilities:
-        for a, b in combinations(u.domain, 2):
-            edges.add(_edge(a, b))
+    completed = [diagram.family(v) for v in diagram.chance_variables]  # arcs, married parents
+    completed += [u.domain for u in diagram.utilities]
+    edges = {frozenset(e) for c in completed for e in combinations(c, 2)}
+    if any(len(e) == 1 for e in edges):
+        u = next(a for c in completed for a, b in combinations(c, 2) if a == b)
+        raise ValueError(f"self loop at {u.name!r}")
     return MoralGraph(tuple(diagram.variables), frozenset(edges))
 
 
@@ -89,8 +99,7 @@ class EliminationOrder:
     sequence: tuple[Variable, ...]
 
     def __post_init__(self):
-        seen = set(self.sequence)
-        if len(seen) != len(self.sequence):
+        if len(set(self.sequence)) != len(self.sequence):
             raise OrderError("sequence repeats a variable")
         for a, b in zip(self.sequence, self.sequence[1:]):
             if a.rank < b.rank:
@@ -105,35 +114,32 @@ class EliminationOrder:
         return {v: n - i for i, v in enumerate(self.sequence)}
 
 
-def _eliminate_vertex(adj: dict[Variable, set[Variable]], v: Variable) -> set[frozenset[Variable]]:
-    """Complete v's neighborhood, remove v; returns the edges added."""
-    added = set()
-    nbrs = adj[v]
-    for a, b in combinations(nbrs, 2):
-        if b not in adj[a]:
-            added.add(_edge(a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-    for n in nbrs:
-        adj[n].discard(v)
-    del adj[v]
-    return added
+def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
+    """Complete N(v) and remove v; returns (a, N(v) \\ N(a) \\ {a}) where that is not empty."""
+    nv, bit = adj[v], 1 << v
+    gained = []
+    for a in _members(nv):
+        missing = (nv ^ 1 << a) & ~adj[a]
+        if missing:
+            gained.append((a, missing))
+        adj[a] = (adj[a] | missing) ^ bit
+    adj[v] = 0
+    return gained
 
 
-def _fill_count(adj: dict[Variable, set[Variable]], v: Variable) -> int:
-    nbrs = adj[v]
-    return sum(1 for a, b in combinations(nbrs, 2) if b not in adj[a])
+def _score(adj: list[int], sizes: list[int], v: int) -> tuple[int, int]:
+    """Fill count and clique weight of eliminating v next (see ``strong_elimination_order``)."""
+    nv = adj[v]
+    d = nv.bit_count()
+    shared, weight = 0, sizes[v]
+    for a in _members(nv):
+        shared += (nv & adj[a]).bit_count()
+        weight *= sizes[a]
+    return (d * (d - 1) - shared) // 2, weight
 
 
-def _clique_weight(adj: dict[Variable, set[Variable]], v: Variable) -> int:
-    return math.prod(len(w.states) for w in adj[v] | {v})
-
-
-def strong_elimination_order(
-    graph: MoralGraph,
-    heuristic: Heuristic = "min-fill",
-    given: Sequence[Variable] | None = None,
-) -> EliminationOrder:
+def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill",
+                             given: Sequence[Variable] | None = None) -> EliminationOrder:
     """Choose an elimination order blocked by rank, highest rank first.
 
     The vertices sharing one rank form a temporal block: the chance variables
@@ -144,10 +150,12 @@ def strong_elimination_order(
     name) under min-weight.  A ``given`` sequence bypasses the heuristic but
     is still checked against the stage constraint.
 
-    Each block member is scored once and kept in a heap.  Eliminating v
-    changes only the scores of v's neighbours (their neighbourhood changed)
-    and of the common neighbours of each fill edge (a, b) (one missing pair
-    fewer), so only those are rescored; stale heap entries are skipped.
+    The greedy runs on vertex ids and bitsets.  With d = |N(v)|, the fill
+    count of the module docstring equals (d(d-1) - sum over a in N(v) of
+    |N(v) & N(a)|) / 2, which is how ``_score`` counts it.  Each block member
+    is scored once and kept in a heap.  Eliminating v changes only the scores
+    of v's neighbours and of the common neighbours of each fill edge, so only
+    those are rescored; stale heap entries are skipped.
     """
     if heuristic not in get_args(Heuristic):
         raise OrderError(f"unknown heuristic {heuristic!r}")
@@ -156,46 +164,60 @@ def strong_elimination_order(
             raise OrderError("given sequence is not a permutation of the variables")
         return EliminationOrder(tuple(given))
 
-    adj = graph.adjacency()
+    vs, _, adj0 = graph._bits
+    adj, sizes = list(adj0), [len(v.states) for v in vs]
+    keys: list[tuple[int, int, str] | None] = [None] * len(vs)
 
-    def score(v: Variable) -> tuple[int, int, str]:
-        fill, weight = _fill_count(adj, v), _clique_weight(adj, v)
-        return (weight, fill, v.name) if heuristic == "min-weight" else (fill, weight, v.name)
+    def push(heap: list, w: int) -> None:
+        fill, weight = _score(adj, sizes, w)
+        keys[w] = (weight, fill, vs[w].name) if heuristic == "min-weight" else (fill, weight, vs[w].name)
+        heapq.heappush(heap, (keys[w], w))
 
-    sequence: list[Variable] = []
-    blocks: dict[int, list[Variable]] = {}
-    for v in graph.vertices:
-        blocks.setdefault(v.rank, []).append(v)
-    for rank in sorted(blocks, reverse=True):
-        scores = {v: score(v) for v in blocks[rank]}
-        heap = [(key, v) for v, key in scores.items()]
-        heapq.heapify(heap)
-        while scores:
+    sequence: list[int] = []
+    for _, block in groupby(range(len(vs) - 1, -1, -1), key=lambda i: vs[i].rank):
+        heap, left = [], 0
+        for w in block:
+            push(heap, w)
+            left |= 1 << w
+        while left:
             key, v = heapq.heappop(heap)
-            if scores.get(v) != key:
+            if keys[v] != key:
                 continue
-            del scores[v]
+            keys[v] = None
+            left ^= 1 << v
             sequence.append(v)
-            touched = set(adj[v])
-            for a, b in _eliminate_vertex(adj, v):
-                touched |= adj[a] & adj[b]
-            for w in touched & scores.keys():
-                scores[w] = score(w)
-                heapq.heappush(heap, (scores[w], w))
-    return EliminationOrder(tuple(sequence))
+            touched = adj[v]
+            for a, missing in _eliminate(adj, v):
+                common = 0
+                for b in _members(missing):
+                    common |= adj[b]
+                touched |= adj[a] & common
+            for w in _members(touched & left):
+                push(heap, w)
+    return EliminationOrder(tuple(vs[i] for i in sequence))
 
 
-def triangulate(
-    graph: MoralGraph, order: EliminationOrder
-) -> tuple[MoralGraph, list[frozenset[Variable]]]:
-    """Simulate elimination, returning the filled graph and the fill-ins added."""
+def triangulate(graph: MoralGraph,
+                order: EliminationOrder) -> tuple[MoralGraph, list[frozenset[Variable]]]:
+    """Simulate elimination, returning the filled graph and the fill-ins added.
+
+    The fill-ins of each eliminated vertex are listed by their sorted names.
+    The filled graph keeps the ids and bitsets built here for ``cliques_of``.
+    """
     if set(order.sequence) != set(graph.vertices):
         raise OrderError("order does not cover the graph's vertices")
-    adj = graph.adjacency()
+    vs, ids, adj0 = graph._bits
+    adj, filled = list(adj0), list(adj0)
     fills: list[frozenset[Variable]] = []
     for v in order.sequence:
-        fills.extend(sorted(_eliminate_vertex(adj, v), key=lambda e: sorted(w.name for w in e)))
-    return MoralGraph(graph.vertices, graph.edges | frozenset(fills)), fills
+        added = []
+        for a, missing in _eliminate(adj, ids[v]):
+            filled[a] |= missing
+            added += (frozenset((vs[a], vs[b])) for b in _members(missing >> a << a))
+        fills += sorted(added, key=lambda e: sorted(w.name for w in e))
+    tri = MoralGraph(graph.vertices, graph.edges | frozenset(fills))
+    tri.__dict__["_bits"] = vs, ids, tuple(filled)  # what ``_bits`` would rebuild
+    return tri, fills
 
 
 @dataclass(frozen=True)
@@ -233,28 +255,33 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
     at the clique's index alpha(y), at 1 for the root clique.  The heir chains
     are disjoint, so the indices are distinct and the walks take linear time.
     """
-    adj = graph.adjacency()
-    alpha = order.alpha
-    later = {v: [w for w in adj[v] if alpha[w] < alpha[v]] for v in order.sequence}
-    up: dict[Variable, Variable] = {}
-    heir: dict[Variable, Variable] = {}
-    for v in order.sequence:
-        if later[v]:
-            p = up[v] = max(later[v], key=alpha.__getitem__)
-            if any(w != p and w not in adj[p] for w in later[v]):
-                raise CompileError(
-                    f"order does not perfectly eliminate the graph (gap at {v.name!r})"
-                )
-            if len(later[v]) == len(later[p]) + 1:
-                heir[p] = v
+    vs, ids, adj = graph._bits
+    seq = [ids[v] for v in order.sequence]
+    if len(seq) != len(vs):
+        raise OrderError("order does not cover the graph's vertices")
+    pos = {i: k for k, i in enumerate(seq)}  # alpha is len(seq) - pos
+    later, left = [0] * len(vs), (1 << len(vs)) - 1
+    for i in seq:
+        left ^= 1 << i
+        later[i] = adj[i] & left
+    up, heir = {}, {}  # up(i), and heir(p) for the p that have one
+    for i in seq:
+        if later[i]:
+            p = up[i] = min(_members(later[i]), key=pos.__getitem__)
+            if (later[i] ^ 1 << p) & ~adj[p]:
+                gap = vs[i].name
+                raise CompileError(f"order does not perfectly eliminate the graph (gap at {gap!r})")
+            if later[i].bit_count() == later[p].bit_count() + 1:
+                heir[p] = i
 
     cliques = []
-    for v in order.sequence:
-        if v not in heir:
-            y = v
+    for i in seq:
+        if i not in heir:
+            y = i
             while y in up and heir.get(up[y]) == y:
                 y = up[y]
-            cliques.append(Clique(frozenset(later[v]).union((v,)), alpha[y]))
+            members = [vs[i], *(vs[w] for w in _members(later[i]))]
+            cliques.append(Clique(frozenset(members), len(seq) - pos[y]))
     cliques.sort(key=lambda c: c.index)
     indices = [c.index for c in cliques]
     if len(set(indices)) != len(indices):
@@ -296,10 +323,7 @@ class StrongJunctionTree:
         return list(self._children.get(index, ()))
 
     def variables(self) -> frozenset[Variable]:
-        out: set[Variable] = set()
-        for c in self.cliques:
-            out |= c.members
-        return frozenset(out)
+        return frozenset().union(*(c.members for c in self.cliques))
 
 
 def lowest_holders(
@@ -308,9 +332,8 @@ def lowest_holders(
     """For each (domain, bound) query, the lowest-index clique with an index
     below the bound that holds the domain, or None.
 
-    Only the cliques holding the domain member with the fewest holders are
-    scanned, in index order; an empty domain is held by the lowest-index
-    clique.
+    Only the holders of the domain's rarest member are scanned, in index
+    order; an empty domain is held by the lowest-index clique.
     """
     by_index = sorted(cliques, key=lambda c: c.index)
     holding: dict[Variable, list[Clique]] = {}
@@ -325,21 +348,27 @@ def lowest_holders(
     return out
 
 
+def _separator_queries(cliques: Iterable[Clique], root: int) -> list[tuple[frozenset[Variable], int]]:
+    """(members shared with the cliques listed before it, index) of each non-root clique."""
+    queries, earlier = [], set()
+    for c in cliques:
+        if c.index != root:
+            queries.append((c.members & earlier, c.index))
+        earlier |= c.members
+    return queries
+
+
 def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
     """Attach each clique to the lowest-index earlier clique holding its separator."""
     ordered = sorted(cliques, key=lambda c: c.index)
     if not ordered:
         raise CompileError("no cliques")
-    queries = []
-    earlier: set[Variable] = set(ordered[0].members)
-    for c in ordered[1:]:
-        queries.append((c.members & earlier, c.index))
-        earlier |= c.members
+    queries = _separator_queries(ordered, ordered[0].index)
     parent: dict[int, int] = {}
-    for c, holder in zip(ordered[1:], lowest_holders(ordered, queries)):
+    for (_, index), holder in zip(queries, lowest_holders(ordered, queries)):
         if holder is None:
-            raise CompileError(f"running intersection violated at clique {c.index}")
-        parent[c.index] = holder.index
+            raise CompileError(f"running intersection violated at clique {index}")
+        parent[index] = holder.index
     return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
 
 
@@ -355,52 +384,33 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
     that is exactly the condition letting the child be eliminated before the
     separator during collect.
     """
-    out: list[Violation] = []
     indices = [c.index for c in tree.cliques]
     if tree.root not in indices:
-        out.append(Violation("tree", f"root {tree.root} is not a clique index"))
-        return out
-    rooted = {tree.root}
+        return [Violation("tree", f"root {tree.root} is not a clique index")]
+    reached, stack = set(), [tree.root]
+    while stack:
+        if (k := stack.pop()) not in reached:
+            reached.add(k)
+            stack += tree.children(k)
     for k in indices:
-        hops: set[int] = set()
-        i = k
-        while i not in rooted:
-            if i not in tree.parent or i in hops:
-                out.append(Violation("tree", f"clique {k} is not connected to the root"))
-                return out
-            hops.add(i)
-            i = tree.parent[i]
-        rooted |= hops
+        if k not in reached:
+            return [Violation("tree", f"clique {k} is not connected to the root")]
     if len(tree.parent) != len(indices) - 1:
-        links = f"{len(tree.parent)} parent links for {len(indices)} cliques"
-        out.append(Violation("tree", links))
-        return out
+        return [Violation("tree", f"{len(tree.parent)} parent links for {len(indices)} cliques")]
 
+    out: list[Violation] = []
     pieces = Counter(v for c in tree.cliques for v in c.members)
     for child in tree.parent:
         pieces.subtract(tree.separator(child))
     for v in sorted((v for v, n in pieces.items() if n != 1), key=lambda v: v.name):
-        out.append(
-            Violation(
-                "junction",
-                f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts",
-            )
-        )
+        split = f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts"
+        out.append(Violation("junction", split))
 
-    queries = []
-    earlier: set[Variable] = set()
-    for c in tree.cliques:
-        if c.index != tree.root:
-            queries.append((c.members & earlier, c.index))
-        earlier |= c.members
+    queries = _separator_queries(tree.cliques, tree.root)
     for (_, index), holder in zip(queries, lowest_holders(tree.cliques, queries)):
         if holder is None:
-            out.append(
-                Violation(
-                    "running-intersection",
-                    f"separator of clique {index} fits no earlier clique",
-                )
-            )
+            why = f"separator of clique {index} fits no earlier clique"
+            out.append(Violation("running-intersection", why))
 
     for child, par in tree.parent.items():
         sep = tree.separator(child)
@@ -408,21 +418,14 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
         for s in sep:
             for w in rest:
                 if s.rank > w.rank:
-                    out.append(
-                        Violation(
-                            "strong-root",
-                            f"edge {par}->{child}: separator member {s.name!r} comes after "
-                            f"{w.name!r}; no ordering of the child respects precedence",
-                        )
-                    )
+                    why = (f"edge {par}->{child}: separator member {s.name!r} comes after "
+                           f"{w.name!r}; no ordering of the child respects precedence")
+                    out.append(Violation("strong-root", why))
     return out
 
 
-def compile_diagram(
-    diagram: InfluenceDiagram,
-    heuristic: Heuristic = "min-fill",
-    given: Sequence[Variable] | None = None,
-):
+def compile_diagram(diagram: InfluenceDiagram, heuristic: Heuristic = "min-fill",
+                    given: Sequence[Variable] | None = None):
     """Full pipeline from a valid diagram to a verified strong junction tree."""
     moral = moralize(diagram)
     order = strong_elimination_order(moral, heuristic, given)
@@ -439,31 +442,26 @@ def compile_diagram(
 # DOT export
 
 
-def _dot_vertex(v: Variable) -> str:
-    shape = "box" if v.is_decision else "ellipse"
-    return f'  "{v.name}" [shape={shape}];'
-
-
 def _sorted_edges(edges: Iterable[frozenset[Variable]]) -> list[tuple[str, str]]:
     return sorted(tuple(sorted(w.name for w in e)) for e in edges)
 
 
-def moral_to_dot(graph: MoralGraph) -> str:
-    lines = ["graph moral {"]
-    lines += [_dot_vertex(v) for v in sorted(graph.vertices, key=lambda v: v.name)]
-    lines += [f'  "{a}" -- "{b}";' for a, b in _sorted_edges(graph.edges)]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def triangulated_to_dot(graph: MoralGraph, fills: Iterable[frozenset[Variable]]) -> str:
-    fills = set(fills)
-    lines = ["graph triangulated {"]
-    lines += [_dot_vertex(v) for v in sorted(graph.vertices, key=lambda v: v.name)]
+def _graph_dot(title: str, graph: MoralGraph, fills: frozenset[frozenset[Variable]]) -> str:
+    lines = [f"graph {title} {{"]
+    for v in sorted(graph.vertices, key=lambda v: v.name):
+        lines.append(f'  "{v.name}" [shape={"box" if v.is_decision else "ellipse"}];')
     lines += [f'  "{a}" -- "{b}";' for a, b in _sorted_edges(graph.edges - fills)]
     lines += [f'  "{a}" -- "{b}" [style=dashed];' for a, b in _sorted_edges(fills)]
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def moral_to_dot(graph: MoralGraph) -> str:
+    return _graph_dot("moral", graph, frozenset())
+
+
+def triangulated_to_dot(graph: MoralGraph, fills: Iterable[frozenset[Variable]]) -> str:
+    return _graph_dot("triangulated", graph, frozenset(fills))
 
 
 def tree_to_dot(tree: StrongJunctionTree) -> str:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree, lowest_holders
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, argmax_over, marg_all, multiply, reduce_axis
+from .tables import Table, add, marg_all, multiply, reduce_axis
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -129,7 +129,7 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
 
 
 def _recorder(run: SolveRun, clique_index: int):
-    def on_decision(decision: Variable, phi: Table, rho: Table):
+    def on_decision(decision: Variable, phi: Table, choice: Table):
         if decision in run.max_steps:
             raise InvariantError(f"decision {decision.name!r} max-marginalized twice")
         worst = _constancy_spread(phi, decision)
@@ -139,10 +139,6 @@ def _recorder(run: SolveRun, clique_index: int):
                 f"probability potential is not a non-negative constant in decision "
                 f"{decision.name!r} at its max step (relative spread {worst:.3e})"
             )
-        if decision in rho.domain:
-            choice = argmax_over(rho, decision)  # ties go to the lowest state index
-        else:  # rho is constant in the decision: every state ties, so state 0 wins
-            choice = Table(rho.domain, np.zeros(rho.values.shape, dtype=np.int64))
         if any(v.rank >= decision.rank for v in choice.domain):
             raise InvariantError(f"policy domain of {decision.name!r} reaches into its future")
         run.max_steps[decision] = (clique_index, Policy(decision, choice.domain, choice))

@@ -22,11 +22,11 @@ trailing axes its operands share, would work through a clique of twenty-odd
   operand over the block, and make one call; when an operand could only be
   copied at more than half the output's size and the other operand has at
   most BLOCK cells, they make one call per cell of the small operand.
-- ``sum_out``, ``max_out``, the max in ``argmax_over`` and the solver's
+- ``sum_out``, ``max_out``, the max in ``max_and_argmax`` and the solver's
   constancy check view the table as (pre, n, post) around the axis; when
   ``post`` is shorter than BLOCK they fold the n slices into each output
   column with ``ufunc(out, slice, out=out)``, strided calls of ``pre`` cells.
-  ``argmax_over`` then writes each state's index where it attains the max,
+  ``max_and_argmax`` then writes each state's index where it attains the max,
   the last state first, so the lowest index wins, as in ``np.argmax``.
 
 The results are bit for bit numpy's (up to a NaN's sign and payload): each
@@ -146,9 +146,6 @@ class Table:
     def __repr__(self):
         names = ",".join(v.name for v in self.domain)
         return f"Table({names}; {self.values.tolist()!r})"
-
-    def __mul__(self, other):
-        return multiply(self, other)
 
     def __add__(self, other):
         return add(self, other)
@@ -339,28 +336,34 @@ def max_out(t: Table, v: "Variable") -> Table:
     return _fresh(t.domain[:axis] + t.domain[axis + 1 :], reduce_axis(np.maximum, t.values, axis))
 
 
-def argmax_over(t: Table, decision: "Variable") -> Table:
-    """Index of the maximizing state of ``decision`` per remaining configuration.
+def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
+    """``max_out`` of t over ``decision`` and the index of the maximizing state, from one max.
 
-    Ties resolve to the lowest state index, as in ``np.argmax``.  A large
-    table takes the max first, then writes each state's index where it
-    attains the max, from the last state down, so the lowest such index
-    stays.  A NaN in the max leaves the table to ``np.argmax``, where the
-    first NaN wins.
+    The max is ``reduce_axis``'s, as in ``max_out``.  Ties resolve to the
+    lowest state index, as in ``np.argmax``.  A large table writes each
+    state's index where it attains the max, from the last state down, so the
+    lowest such index stays.  A small table, or a NaN in the max, leaves the
+    index to ``np.argmax``, where the first NaN wins.
     """
     axis = _axis_of(t, decision)
     values = t.values
     domain = t.domain[:axis] + t.domain[axis + 1 :]
+    top = reduce_axis(np.maximum, values, axis)
     v = _slices(values, axis)
-    top = None if v is None else reduce_axis(np.maximum, values, axis)
-    if top is None or np.isnan(top).any():
-        return _fresh(domain, np.asarray(np.argmax(values, axis=axis), dtype=np.int64))
-    top = top.reshape(v.shape[0], v.shape[2])
-    idx = np.empty(top.shape, dtype=np.int64)
-    for j in [slice(None)] if v.shape[2] >= BLOCK else range(v.shape[2]):
-        for i in range(v.shape[1] - 1, -1, -1):
-            np.copyto(idx[:, j], i, where=v[:, i, j] == top[:, j])
-    return _fresh(domain, idx.reshape(_reduced_shape(values, axis)))
+    if v is None or np.isnan(top).any():
+        idx = np.asarray(np.argmax(values, axis=axis), dtype=np.int64)
+    else:
+        cols = top.reshape(v.shape[0], v.shape[2])
+        idx = np.empty(cols.shape, dtype=np.int64)
+        for j in [slice(None)] if v.shape[2] >= BLOCK else range(v.shape[2]):
+            for i in range(v.shape[1] - 1, -1, -1):
+                np.copyto(idx[:, j], i, where=v[:, i, j] == cols[:, j])
+    return _fresh(domain, top), _fresh(domain, idx.reshape(top.shape))
+
+
+def argmax_over(t: Table, decision: "Variable") -> Table:
+    """Index of the maximizing state of ``decision`` per remaining configuration."""
+    return max_and_argmax(t, decision)[1]
 
 
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
@@ -384,9 +387,11 @@ def marg_all(
     Chance variables are summed, decisions maximized.  The computation keeps
     (phi, rho) with rho = phi * psi and recovers the utility component as
     rho / phi at the end, so a single division happens on the final domain.
-    ``on_decision`` observes (decision, phi, rho) right before each max step;
-    solvers use it to check that phi is constant in the decision and to record
-    the optimal choice.
+    ``on_decision`` observes (decision, phi, choice) at each max step: phi
+    before the step, and the index of the state maximizing rho, which comes
+    from the same max that replaces rho (state 0 where rho is constant in the
+    decision).  Solvers use it to check that phi is constant in the decision
+    and to record the optimal choice.
 
     Within a stage all variables are chance, and their order affects the
     result only through floating-point rounding; ties break by name so the
@@ -403,7 +408,13 @@ def marg_all(
     rho = multiply(phi, psi)
     for v in order:
         if v.is_decision and on_decision is not None:
-            on_decision(v, phi, rho)
+            if v in rho.domain:
+                top, choice = max_and_argmax(rho, v)
+            else:  # every state ties, so state 0 wins
+                top, choice = rho, _fresh(rho.domain, np.zeros(rho.values.shape, dtype=np.int64))
+            on_decision(v, phi, choice)
+        else:
+            top = _marg_one(rho, v, maximize=v.is_decision)
         phi = _marg_one(phi, v, maximize=v.is_decision)
-        rho = _marg_one(rho, v, maximize=v.is_decision)
+        rho = top
     return phi, divide(rho, phi)

@@ -36,6 +36,15 @@ from conftest import (
 )
 
 
+def _adjacency(graph):
+    adj = {v: set() for v in graph.vertices}
+    for e in graph.edges:
+        u, v = tuple(e)
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
 # ---------------------------------------------------------------------------
 # moralize
 
@@ -135,7 +144,7 @@ def test_min_fill_picks_the_simplicial_vertex_first():
     )
     graph = MoralGraph((s, p, q, r, w), edges)
 
-    adj = graph.adjacency()
+    adj = _adjacency(graph)
 
     def fill_count(v):
         return sum(1 for a, b in itertools.combinations(adj[v], 2) if not graph.has_edge(a, b))
@@ -167,7 +176,7 @@ def _reference_greedy(graph, heuristic):
     The blocks come from the stages directly: stage 0, decision 1, stage 1,
     ..., decision n, stage n and any later stages, eliminated last block first.
     """
-    adj = graph.adjacency()
+    adj = _adjacency(graph)
 
     def fill(v):
         return sum(1 for a, b in itertools.combinations(adj[v], 2) if b not in adj[a])
@@ -238,14 +247,14 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
     xs = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(n)]
     graph = MoralGraph(tuple(xs), frozenset(frozenset(p) for p in zip(xs, xs[1:])))
     calls = 0
-    fill_count = compiler._fill_count
+    score = compiler._score
 
-    def counting(adj, v):
+    def counting(*args):
         nonlocal calls
         calls += 1
-        return fill_count(adj, v)
+        return score(*args)
 
-    monkeypatch.setattr(compiler, "_fill_count", counting)
+    monkeypatch.setattr(compiler, "_score", counting)
     for heuristic in ("min-fill", "min-weight"):
         calls = 0
         order = strong_elimination_order(graph, heuristic=heuristic)
@@ -255,6 +264,59 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # triangulate
+
+
+def _reference_triangulate(graph, order):
+    """The set-based triangulate: complete each neighbourhood pair by pair."""
+    adj = _adjacency(graph)
+    fills = []
+    for v in order.sequence:
+        added = set()
+        for a, b in itertools.combinations(adj[v], 2):
+            if b not in adj[a]:
+                added.add(frozenset((a, b)))
+                adj[a].add(b)
+                adj[b].add(a)
+        for n in adj.pop(v):
+            adj[n].discard(v)
+        fills.extend(sorted(added, key=lambda e: sorted(w.name for w in e)))
+    return MoralGraph(graph.vertices, graph.edges | frozenset(fills)), fills
+
+
+def _assert_triangulates_like_the_reference(graph, order):
+    tri, fills = triangulate(graph, order)
+    ref_tri, ref_fills = _reference_triangulate(graph, order)
+    assert fills == ref_fills
+    assert tri == ref_tri
+    return tri
+
+
+@pytest.mark.parametrize("heuristic", ["min-fill", "min-weight"])
+def test_fills_match_the_reference_on_compiled_graphs(golden_model, heuristic):
+    for graph in _order_cases(golden_model):
+        _assert_triangulates_like_the_reference(
+            graph, strong_elimination_order(graph, heuristic=heuristic)
+        )
+
+
+def test_fills_match_the_reference_under_arbitrary_orders():
+    rng = random.Random(7)
+    filled = 0
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        vs = [chance_var(f"v{i}", ("0", "1"), 0) for i in range(n)]
+        p = rng.random()
+        edges = frozenset(
+            frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
+        )
+        graph = MoralGraph(tuple(vs), edges)
+        order = EliminationOrder(tuple(rng.sample(vs, n)))
+        tri = _assert_triangulates_like_the_reference(graph, order)
+        filled += tri != graph
+        # the filled graph's own ids and bitsets give the cliques a rebuilt graph gives
+        rebuilt = MoralGraph(tri.vertices, tri.edges)
+        assert _pairs(cliques_of(tri, order)) == _pairs(cliques_of(rebuilt, order))
+    assert filled > 0
 
 
 def test_reference_sequence_produces_exactly_the_nine_fills(golden):
@@ -327,7 +389,7 @@ def test_cliques_match_brute_force_enumeration_on_random_graphs():
 
 def _pairwise_maximal(graph, order):
     """The elimination cliques minus those strictly inside another, pair by pair."""
-    adj = graph.adjacency()
+    adj = _adjacency(graph)
     elim = []
     for v in order.sequence:
         elim.append(frozenset(adj[v] | {v}))
@@ -364,6 +426,14 @@ def test_cliques_of_rejects_non_perfect_order():
         cliques_of(graph, EliminationOrder((a, b, c, d)))
 
 
+def test_cliques_of_rejects_an_order_that_misses_a_vertex():
+    a = chance_var("a", ("0", "1"), 0)
+    b = chance_var("b", ("0", "1"), 0)
+    graph = MoralGraph((a, b), frozenset({frozenset((a, b))}))
+    with pytest.raises(OrderError, match="does not cover"):
+        cliques_of(graph, EliminationOrder((a,)))
+
+
 def _reference_cliques_of(graph, order):
     """The earlier cliques_of: re-simulate the elimination, then search each index.
 
@@ -371,7 +441,7 @@ def _reference_cliques_of(graph, order):
     lower-numbered co-members all neighbour some lower-numbered outside vertex,
     or 1 if no member qualifies.
     """
-    adj = graph.adjacency()
+    adj = _adjacency(graph)
     alpha = order.alpha
     elim, up = {}, {}
     work = {v: set(ns) for v, ns in adj.items()}
@@ -519,7 +589,7 @@ def test_tree_links_follow_the_elimination_tree():
     # the clique ending at y hangs below the clique whose walk holds up(y)
     for _, tree, order, tri in _compiled_draws():
         alpha = order.alpha
-        adj = tri.adjacency()
+        adj = _adjacency(tri)
         walks = [(v, c.index) for c in tree.cliques for v in c.members if alpha[v] >= c.index]
         owner = dict(walks)
         assert len(owner) == len(walks) == len(alpha)  # every vertex on exactly one walk

@@ -76,3 +76,18 @@ def test_check_bench_line_accepts_a_complete_result_and_rejects_broken_ones():
     for stdin, message in cases:
         out = _run_script("check_bench_line.py", stdin=stdin)
         assert (out.returncode, out.stdout) == (1, message)
+
+
+def test_committed_benchmark_results_are_well_formed():
+    # each committed trajectory line must pass the same check as a fresh run's stdout
+    spec = importlib.util.spec_from_file_location("check", ROOT / "scripts" / "check_bench_line.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        runs = json.loads(path.read_text())["runs"]
+        assert runs, path.name
+        for k, run in enumerate(runs):
+            assert check.problems(json.dumps(run["result"]) + "\n", bench) == [], (path.name, k)

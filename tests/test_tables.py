@@ -30,7 +30,7 @@ from idjt import (
     solve,
     sum_out,
 )
-from idjt.tables import BLOCK, PAIRWISE_MIN, STREAM_CELLS
+from idjt.tables import BLOCK, PAIRWISE_MIN, STREAM_CELLS, max_and_argmax
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -406,6 +406,7 @@ def test_large_reductions_match_numpy_bit_for_bit(fill):
         assert _same_bits(sum_out(table, v).values, values.sum(axis=axis)), (shape, axis)
         assert _same_bits(max_out(table, v).values, values.max(axis=axis)), (shape, axis)
         assert _same_bits(argmax_over(table, v).values, np.argmax(values, axis=axis)), (shape, axis)
+        assert _same_bits(max_and_argmax(table, v)[0].values, values.max(axis=axis)), (shape, axis)
     assert streamed and pairwise  # columns were folded, and numpy kept its pairwise sums
 
 
@@ -435,6 +436,28 @@ def test_large_argmax_with_nan_matches_numpy():
             got = argmax_over(table, domain[axis]).values
         assert _same_bits(got, np.argmax(values, axis=axis)), axis
         assert _same_bits(max_out(table, domain[axis]).values, values.max(axis=axis)), axis
+        top = max_and_argmax(table, domain[axis])[0].values
+        assert _same_bits(top, values.max(axis=axis)), axis
+
+
+@pytest.mark.parametrize("states", [1, 12])  # a small table, and a streamed one
+def test_marg_all_reports_the_argmax_of_the_max_it_takes(states):
+    rng = np.random.default_rng(8)
+    early = [chance_var(f"e{i}", ("0", "1"), 0) for i in range(states)]
+    late = [chance_var(f"l{i}", ("0", "1"), 1) for i in range(2)]
+    phi = Table.from_flat(early + late, rng.random(2 ** (states + 2)))
+    psi = Table.from_flat([*early, D, *late], rng.choice(VALUE_POOL[:10], size=3 * 2 ** (states + 2)))
+    seen = []
+    got = marg_all(phi, psi, [*early, D, *late], on_decision=lambda *step: seen.append(step))
+    assert all(_same_bits(g.values, w.values) for g, w in zip(got, marg_all(phi, psi, [*early, D, *late])))
+    rho = sum_out(sum_out(multiply(phi, psi), late[0]), late[1])
+    [(decision, phi_at_d, choice)] = seen
+    assert decision == D and set(phi_at_d.domain) == set(early)
+    assert _same_bits(choice.values, argmax_over(rho, D).values)
+    # a decision outside rho's domain: every state ties, and state 0 is recorded
+    seen.clear()
+    marg_all(phi, Table.null(), [D], on_decision=lambda *step: seen.append(step))
+    assert seen[0][2].domain == phi.domain and not seen[0][2].values.any()
 
 
 def _numpy_broadcast(op, t1, t2):
