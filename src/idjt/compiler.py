@@ -28,6 +28,7 @@ from itertools import combinations, groupby
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
+from .tables import canonical_key
 
 
 class CompileError(Exception):
@@ -59,7 +60,7 @@ class MoralGraph:
     @cached_property
     def _bits(self) -> tuple[tuple[Variable, ...], dict[Variable, int], tuple[int, ...]]:
         """(vs, ids, adj): vertex i is vs[i], ids inverts vs, adj[i] is N(i) as a bitset."""
-        vs = tuple(sorted(self.vertices, key=lambda v: (v.rank, v.name)))
+        vs = tuple(sorted(self.vertices, key=canonical_key))
         ids = {v: i for i, v in enumerate(vs)}
         adj = [0] * len(vs)
         for e in self.edges:

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .tables import Table
+from .tables import Table, canonical_key
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -128,7 +128,7 @@ class InfluenceDiagram:
     def decisions(self) -> tuple[Variable, ...]:
         """Decisions in temporal order."""
         decisions = (v for v in self.variables if v.is_decision)
-        return tuple(sorted(decisions, key=lambda v: (v.rank, v.name)))
+        return tuple(sorted(decisions, key=canonical_key))
 
     def family(self, v: Variable) -> tuple[Variable, ...]:
         """Parents of v followed by v itself."""

@@ -15,6 +15,7 @@ import numpy as np
 
 from .model import InfluenceDiagram, Variable
 from .solver import Policy
+from .tables import canonical_key
 
 
 class OracleCapError(ValueError):
@@ -25,7 +26,7 @@ DEFAULT_CAP = 1 << 16
 
 
 def _temporal_order(diagram: InfluenceDiagram) -> list[Variable]:
-    return sorted(diagram.variables, key=lambda v: (v.rank, v.name))
+    return sorted(diagram.variables, key=canonical_key)
 
 
 def _broadcast_into(values: np.ndarray, src: list[Variable], order: list[Variable]) -> np.ndarray:

@@ -21,7 +21,7 @@ from .model import (
     decision_var,
     validate,
 )
-from .tables import Table
+from .tables import Table, canonical_key
 
 
 def random_model(
@@ -90,7 +90,7 @@ def _draw(rng, max_variables, max_decisions, max_states, structural_zeros) -> In
             Utility(f"u{j}", dom, Table.from_flat(dom, rng.uniform(-10.0, 10.0, size=cells)))
         )
 
-    variables = tuple(sorted(everything, key=lambda v: (v.rank, v.name)))
+    variables = tuple(sorted(everything, key=canonical_key))
     return InfluenceDiagram(variables, parents, cpts, tuple(utilities))
 
 

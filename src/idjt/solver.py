@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree, lowest_holders
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, marg_all, multiply, reduce_axis
+from .tables import Table, add, marg_all, multiply
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -118,8 +118,8 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
     if decision not in phi.domain:
         return 0.0
     axis = phi.domain.index(decision)
-    hi = reduce_axis(np.maximum, phi.values, axis)
-    lo = reduce_axis(np.minimum, phi.values, axis)
+    hi = np.maximum.reduce(phi.values, axis=axis)
+    lo = np.minimum.reduce(phi.values, axis=axis)
     if np.any(lo < 0):
         raise InvariantError(
             f"probability potential is negative at the max step over {decision.name!r}"

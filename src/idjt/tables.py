@@ -12,31 +12,17 @@ a time in decreasing temporal rank, summing out chance variables and
 maximizing out decisions, carrying the pair (phi, phi*psi) so the utility
 component can be recovered by a single division at the end.
 
-Large tables are streamed.  Canonical order puts the first variable to be
-eliminated on the last axis, so numpy, which runs one inner loop per run of
-trailing axes its operands share, would work through a clique of twenty-odd
-2-state axes two cells at a time.  From STREAM_CELLS cells on:
-
-- ``multiply`` and ``add`` give each operand a contiguous (or constant) run
-  over the output's trailing block of BLOCK or more cells, copying a small
-  operand over the block, and make one call; when an operand could only be
-  copied at more than half the output's size and the other operand has at
-  most BLOCK cells, they make one call per cell of the small operand.
-- ``sum_out``, ``max_out``, the max in ``max_and_argmax`` and the solver's
-  constancy check view the table as (pre, n, post) around the axis; when
-  ``post`` is shorter than BLOCK they fold the n slices into each output
-  column with ``ufunc(out, slice, out=out)``, strided calls of ``pre`` cells.
-  ``max_and_argmax`` then writes each state's index where it attains the max,
-  the last state first, so the lowest index wins, as in ``np.argmax``.
-
-The results are bit for bit numpy's (up to a NaN's sign and payload): each
-output cell of a product or sum is the same single rounding of the same two
-values, and a fold adds or maxes the slices in the order numpy's reduce uses
-along a strided axis, starting a sum from 0.0 as numpy does.  One case keeps
-numpy's reduce: a contiguous last axis of PAIRWISE_MIN or more states, which
-numpy reduces with several accumulators (pairwise summation, and a max that
-may pick the other signed zero).  So does a NaN in an argmax's max.  Smaller
-tables take numpy's own calls, at no added cost per call.
+Large tables are stored in elimination layout.  ``Table.values`` always has
+canonical axes, but an operation whose result has STREAM_CELLS or more cells
+stores it with the decisions first and then the chance variables latest stage
+first (``_layout``), so the variable ``marg_all`` eliminates next sits on a
+leading axis.  numpy's own reductions then run over whole slices, and they
+keep their input's memory order, so the layout carries through an
+elimination.  Broadcasts of that size run through ``_stream``.  Products and
+sums are bit for bit numpy's; a reduction can round differently from one of a
+C-ordered copy only along an axis of 8 or more states that is innermost in
+one of the two orders, where numpy keeps several accumulators.  Smaller
+tables, and tables a constructor builds, are C-contiguous in canonical order.
 """
 
 from __future__ import annotations
@@ -51,21 +37,36 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import Variable
 
 
-STREAM_CELLS = 1 << 14  # tables below this many cells keep numpy's own broadcasts and reductions
+STREAM_CELLS = 1 << 14  # operation results from this many cells on are stored in elimination layout
 BLOCK = 64  # the fewest cells an inner loop of a streamed kernel runs over
-PAIRWISE_MIN = 8  # numpy reduces a contiguous run this long with several accumulators
 
 
 class UndefinedDivisionError(ZeroDivisionError):
     """x/0 with x != 0: the numerator has support outside the denominator's."""
 
 
-def _canon_key(v):
+def canonical_key(v: "Variable") -> tuple[int, str]:
+    """Sort key of the canonical variable order: temporal rank, then name."""
     return (v.rank, v.name)
 
 
 def _canonical(domain: Iterable["Variable"]) -> tuple["Variable", ...]:
-    return tuple(sorted(domain, key=_canon_key))
+    return tuple(sorted(domain, key=canonical_key))
+
+
+def _layout(domain: tuple["Variable", ...]) -> list[int]:
+    """Axes of an operation's result over ``domain``, in the order its cells are stored.
+
+    Below STREAM_CELLS cells that is canonical order.  From there on the
+    decisions lead, then the chance variables follow latest stage first, the
+    order ``marg_all`` eliminates them in.  Decisions lead because few
+    operands span one: on the fastest axis a decision would cut each
+    broadcast's inner loop down to its state count.
+    """
+    if math.prod(len(v.states) for v in domain) < STREAM_CELLS:
+        return list(range(len(domain)))
+    key = [(not v.is_decision, -v.rank, v.name) for v in domain]
+    return sorted(range(len(domain)), key=key.__getitem__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,6 +108,8 @@ class Table:
         canon = _canonical(domain)
         if canon != domain:
             vals = vals.transpose([domain.index(v) for v in canon])
+        if vals.size >= STREAM_CELLS:  # keep C order, which _fresh keeps only for small tables
+            return cls(canon, vals)
         return _fresh(canon, vals)
 
     @classmethod
@@ -152,17 +155,26 @@ class Table:
 
 
 def _fresh(domain: tuple["Variable", ...], values) -> Table:
-    """Wrap an array this module just computed, without the constructor's checks and copy.
+    """Wrap a freshly computed array, in ``_layout`` order, without the constructor's checks.
 
     ``from_flat`` and the operations build canonical domains and matching
-    shapes, and nothing else holds the array; a copy would double the
+    shapes, and nothing else holds the array.  A copy would double the
     allocation and the memory traffic of every operation on a multi-megabyte
-    table.
+    table, so the array is copied only when it is stored in another order
+    than ``_layout``'s: a large result of ``divide`` or ``extend``, or a small
+    reduction of a large table.
     """
+    values = np.asarray(values)  # a numpy scalar becomes 0-d
+    if values.size < STREAM_CELLS:
+        values = np.asarray(values, order="C")
+    else:
+        axes = _layout(domain)
+        if not values.transpose(axes).flags.c_contiguous:
+            values = np.ascontiguousarray(values.transpose(axes)).transpose(np.argsort(axes))
     t = object.__new__(Table)
     object.__setattr__(t, "domain", domain)
-    object.__setattr__(t, "values", np.asarray(values, order="C"))  # a numpy scalar becomes 0-d
-    t.values.setflags(write=False)
+    object.__setattr__(t, "values", values)
+    values.setflags(write=False)
     return t
 
 
@@ -207,10 +219,10 @@ def _over_block(x: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarray | N
 def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``ufunc(a, b)`` broadcast to a large output as a few long ufunc calls.
 
-    ``ufunc`` is np.add or np.multiply, so operand order does not matter.
-    numpy runs a broadcast with one inner loop per run of trailing axes that
-    every operand spans alike, and in canonical order that run is often a
-    single 2-state axis.  Here each operand is made to span the output's
+    ``ufunc`` is np.add or np.multiply, so operand order does not matter; the
+    axes are in the output's stored order.  numpy runs a broadcast with one
+    inner loop per run of trailing axes that every operand spans alike, and
+    that run is often a single 2-state axis.  Here each operand is made to span the output's
     trailing block of BLOCK or more cells (``_over_block``), and one call
     covers the output in inner loops of the whole block.  Where an operand
     cannot be, and the other has at most BLOCK cells, the call is made once
@@ -244,9 +256,12 @@ def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _pointwise(ufunc, t1: Table, t2: Table) -> Table:
     union = _union_domain(t1, t2)
+    a, b = _embed(t1, union), _embed(t2, union)
     if t1.values.size * t2.values.size < STREAM_CELLS:  # so is the output
-        return _fresh(union, ufunc(_embed(t1, union), _embed(t2, union)))
-    return _fresh(union, _stream(ufunc, _embed(t1, union), _embed(t2, union)))
+        return _fresh(union, ufunc(a, b))
+    axes = _layout(union)
+    out = _stream(ufunc, a.transpose(axes), b.transpose(axes))
+    return _fresh(union, out.transpose(np.argsort(axes)))
 
 
 def multiply(t1: Table, t2: Table) -> Table:
@@ -277,88 +292,36 @@ def _axis_of(t: Table, v: "Variable") -> int:
         raise ValueError(f"variable {v.name!r} not in table domain") from None
 
 
-def _slices(values: np.ndarray, axis: int) -> np.ndarray | None:
-    """values viewed as (pre, n, post) around ``axis``, for a kernel that streams them.
-
-    A call of such a kernel covers either a whole slice, with contiguous runs
-    of ``post`` cells, or one column of it, ``pre`` cells at a fixed stride;
-    one of the two must reach BLOCK cells.  None where neither does, and for
-    a table under STREAM_CELLS cells.
-    """
-    if values.size < STREAM_CELLS:
-        return None
-    n = values.shape[axis]
-    post = math.prod(values.shape[axis + 1 :])
-    v = values.reshape(-1, n, post)
-    return v if max(v.shape[0], post) >= BLOCK else None
-
-
-def _reduced_shape(values: np.ndarray, axis: int) -> tuple[int, ...]:
-    return values.shape[:axis] + values.shape[axis + 1 :]
-
-
-def reduce_axis(ufunc, values: np.ndarray, axis: int) -> np.ndarray:
-    """``ufunc.reduce(values, axis=axis)`` for np.add, np.maximum or np.minimum, bit for bit.
-
-    numpy reduces with one inner loop per run of the ``post`` cells after
-    ``axis``.  When that run is shorter than BLOCK, a large table instead
-    folds the n slices into each output column with
-    ``ufunc(out, slice, out=out)``: the roundings numpy performs, in the same
-    order, as a few long strided calls.  On a contiguous last axis of
-    PAIRWISE_MIN or more cells numpy keeps several accumulators (pairwise
-    summation; max's pick among signed zeros), so that case stays with numpy.
-    """
-    v = _slices(values, axis)
-    if v is None or v.shape[2] >= BLOCK or (v.shape[2] == 1 and v.shape[1] >= PAIRWISE_MIN):
-        return ufunc.reduce(values, axis=axis)
-    n = v.shape[1]
-    out = np.empty((v.shape[0], v.shape[2]))
-    for j in range(v.shape[2]):
-        o = out[:, j]
-        if n == 1:
-            np.copyto(o, v[:, 0, j])
-        else:
-            ufunc(v[:, 0, j], v[:, 1, j], out=o)
-        for i in range(2, n):
-            ufunc(o, v[:, i, j], out=o)
-    if ufunc is np.add:
-        out += 0.0  # numpy's sum starts from add's identity 0.0, so -0.0 slices sum to +0.0
-    return out.reshape(_reduced_shape(values, axis))
-
-
 def sum_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], reduce_axis(np.add, t.values, axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.add.reduce(t.values, axis=axis))
 
 
 def max_out(t: Table, v: "Variable") -> Table:
     axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], reduce_axis(np.maximum, t.values, axis))
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.maximum.reduce(t.values, axis=axis))
 
 
 def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
     """``max_out`` of t over ``decision`` and the index of the maximizing state, from one max.
 
-    The max is ``reduce_axis``'s, as in ``max_out``.  Ties resolve to the
-    lowest state index, as in ``np.argmax``.  A large table writes each
-    state's index where it attains the max, from the last state down, so the
-    lowest such index stays.  A small table, or a NaN in the max, leaves the
-    index to ``np.argmax``, where the first NaN wins.
+    As in ``np.argmax``, ties resolve to the lowest state index and a NaN to
+    the first NaN.  A large table writes each state's index wherever that
+    state attains the max or is NaN, over whole slices and from the last
+    state down, so the lowest such index stays.
     """
     axis = _axis_of(t, decision)
     values = t.values
     domain = t.domain[:axis] + t.domain[axis + 1 :]
-    top = reduce_axis(np.maximum, values, axis)
-    v = _slices(values, axis)
-    if v is None or np.isnan(top).any():
+    top = np.maximum.reduce(values, axis=axis)
+    if values.size < STREAM_CELLS:
         idx = np.asarray(np.argmax(values, axis=axis), dtype=np.int64)
     else:
-        cols = top.reshape(v.shape[0], v.shape[2])
-        idx = np.empty(cols.shape, dtype=np.int64)
-        for j in [slice(None)] if v.shape[2] >= BLOCK else range(v.shape[2]):
-            for i in range(v.shape[1] - 1, -1, -1):
-                np.copyto(idx[:, j], i, where=v[:, i, j] == cols[:, j])
-    return _fresh(domain, top), _fresh(domain, idx.reshape(top.shape))
+        idx = np.empty_like(top, dtype=np.int64)
+        for i in range(values.shape[axis] - 1, -1, -1):
+            s = values[(slice(None),) * axis + (i,)]
+            np.copyto(idx, i, where=(s == top) | (s != s))
+    return _fresh(domain, top), _fresh(domain, idx)
 
 
 def argmax_over(t: Table, decision: "Variable") -> Table:
@@ -411,7 +374,7 @@ def marg_all(
             if v in rho.domain:
                 top, choice = max_and_argmax(rho, v)
             else:  # every state ties, so state 0 wins
-                top, choice = rho, _fresh(rho.domain, np.zeros(rho.values.shape, dtype=np.int64))
+                top, choice = rho, _fresh(rho.domain, np.zeros_like(rho.values, dtype=np.int64))
             on_decision(v, phi, choice)
         else:
             top = _marg_one(rho, v, maximize=v.is_decision)
