@@ -96,7 +96,8 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     Unassigned cliques keep the unit probability / null utility potentials,
     so globally the tree still represents the model's joint and total utility.
     """
-    states = {c.index: CliqueState(Table.unit(), Table.null()) for c in tree.cliques}
+    unit, null = Table.unit(), Table.null()  # immutable, so every clique shares them
+    states = {c.index: CliqueState(unit, null) for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     domains = [f.domain if isinstance(f, Utility) else diagram.family(f) for f in factors]
     hosts = lowest_holders(tree.cliques, [(frozenset(d), math.inf) for d in domains])
@@ -120,12 +121,12 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
     axis = phi.domain.index(decision)
     hi = np.maximum.reduce(phi.values, axis=axis)
     lo = np.minimum.reduce(phi.values, axis=axis)
-    if np.any(lo < 0):
+    if (lo < 0).any():
         raise InvariantError(
             f"probability potential is negative at the max step over {decision.name!r}"
         )
-    spread = np.where(hi > 0, (hi - lo) / np.where(hi > 0, hi, 1.0), 0.0)
-    return float(np.max(spread)) if spread.size else 0.0
+    spread = np.divide(hi - lo, hi, out=np.zeros(hi.shape), where=hi > 0)
+    return float(spread.max()) if spread.size else 0.0
 
 
 def _recorder(run: SolveRun, clique_index: int):

@@ -18,11 +18,16 @@ stores it with the decisions first and then the chance variables latest stage
 first (``_layout``), so the variable ``marg_all`` eliminates next sits on a
 leading axis.  numpy's own reductions then run over whole slices, and they
 keep their input's memory order, so the layout carries through an
-elimination.  Broadcasts of that size run through ``_stream``.  Products and
-sums are bit for bit numpy's; a reduction can round differently from one of a
-C-ordered copy only along an axis of 8 or more states that is innermost in
-one of the two orders, where numpy keeps several accumulators.  Smaller
-tables, and tables a constructor builds, are C-contiguous in canonical order.
+elimination; a reduction can round differently from one of a C-ordered copy
+only along an axis of 8 or more states that is innermost in one of the two
+orders, where numpy keeps several accumulators.  Smaller tables, and tables a
+constructor builds, are C-contiguous in canonical order.
+
+A product, sum or quotient is one ufunc call on the operands' values when
+the domains are equal or one table is a scalar, at any size, and when the
+result is small; only a large broadcast over different domains runs through
+``_stream``.  Each cell goes through the same ufunc as in numpy's own
+broadcast, so the results are bit for bit numpy's.
 """
 
 from __future__ import annotations
@@ -114,7 +119,7 @@ class Table:
 
     @classmethod
     def scalar(cls, x: float) -> "Table":
-        return cls((), np.asarray(float(x)))
+        return _fresh((), np.array(float(x)))
 
     @classmethod
     def unit(cls) -> "Table":
@@ -161,12 +166,10 @@ def _fresh(domain: tuple["Variable", ...], values) -> Table:
     shapes, and nothing else holds the array.  A copy would double the
     allocation and the memory traffic of every operation on a multi-megabyte
     table, so the array is copied only when it is stored in another order
-    than ``_layout``'s: a large result of ``divide`` or ``extend``, or a small
-    reduction of a large table.
+    than ``_layout``'s: a large ``extend``, or a small reduction of a large table.
     """
-    values = np.asarray(values)  # a numpy scalar becomes 0-d
     if values.size < STREAM_CELLS:
-        values = np.asarray(values, order="C")
+        values = np.asarray(values, order="C")  # a numpy scalar becomes 0-d
     else:
         axes = _layout(domain)
         if not values.transpose(axes).flags.c_contiguous:
@@ -178,14 +181,38 @@ def _fresh(domain: tuple["Variable", ...], values) -> Table:
     return t
 
 
-def _embed(t: Table, union: tuple["Variable", ...]) -> np.ndarray:
-    """View of t's values broadcastable over the union domain (canonical)."""
-    shape = tuple(len(v.states) if v in t.domain else 1 for v in union)
-    return t.values.reshape(shape)
+def _empty(domain: tuple["Variable", ...], fill=np.empty) -> np.ndarray:
+    """A new array over ``domain`` with canonical axes, stored in ``_layout`` order."""
+    axes = _layout(domain)
+    return fill([len(domain[i].states) for i in axes]).transpose(np.argsort(axes))
 
 
-def _union_domain(t1: Table, t2: Table) -> tuple["Variable", ...]:
-    return _canonical(set(t1.domain) | set(t2.domain))
+def _embed(t: Table, union: tuple["Variable", ...]) -> np.ndarray | None:
+    """View of t's values broadcastable over ``union``, or None if t's domain is not within it."""
+    domain, shape, i = t.domain, [], 0
+    for v in union:  # both canonical: one walk finds t's axes, matching by ``is``, else ``==``
+        if i < len(domain) and (domain[i] is v or domain[i] == v):
+            shape.append(len(v.states))
+            i += 1
+        else:
+            shape.append(1)
+    return t.values.reshape(shape) if i == len(domain) else None
+
+
+def _operands(t1: Table, t2: Table) -> tuple[tuple["Variable", ...], np.ndarray, np.ndarray]:
+    """The canonical union of two domains and both tables' values broadcastable over it.
+
+    Equal domains and a scalar broadcast as they are; a domain within the other is embedded in it.
+    """
+    d1, d2 = t1.domain, t2.domain
+    if not (d1 and d2) or (len(d1) == len(d2) and d1 == d2):  # tuple == compares items first
+        return d1 or d2, t1.values, t2.values
+    if len(d1) > len(d2) and (b := _embed(t2, d1)) is not None:
+        return d1, t1.values, b
+    if len(d1) < len(d2) and (a := _embed(t1, d2)) is not None:
+        return d2, a, t2.values
+    union = _canonical(set(d1) | set(d2))
+    return union, _embed(t1, union), _embed(t2, union)
 
 
 def extend(t: Table, target: Iterable["Variable"]) -> Table:
@@ -255,10 +282,11 @@ def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _pointwise(ufunc, t1: Table, t2: Table) -> Table:
-    union = _union_domain(t1, t2)
-    a, b = _embed(t1, union), _embed(t2, union)
-    if t1.values.size * t2.values.size < STREAM_CELLS:  # so is the output
+    union, a, b = _operands(t1, t2)
+    if a.size * b.size < STREAM_CELLS:  # so is the output
         return _fresh(union, ufunc(a, b))
+    if a.shape == b.shape or not a.ndim or not b.ndim:  # equal domains or a scalar: one call
+        return _fresh(union, ufunc(a, b, out=_empty(union)))
     axes = _layout(union)
     out = _stream(ufunc, a.transpose(axes), b.transpose(axes))
     return _fresh(union, out.transpose(np.argsort(axes)))
@@ -274,13 +302,14 @@ def add(t1: Table, t2: Table) -> Table:
 
 def divide(num: Table, den: Table) -> Table:
     """Pointwise quotient with 0/0 = 0; x/0 for x != 0 raises."""
-    union = _union_domain(num, den)
-    a = np.broadcast_to(_embed(num, union), tuple(len(v.states) for v in union))
-    b = np.broadcast_to(_embed(den, union), a.shape)
+    union, a, b = _operands(num, den)
     zero = b == 0.0
-    if np.any(zero & (a != 0.0)):
+    small = a.size * b.size < STREAM_CELLS  # so is the output
+    if not zero.any():
+        return _fresh(union, np.divide(a, b) if small else np.divide(a, b, out=_empty(union)))
+    if (zero & (a != 0.0)).any():
         raise UndefinedDivisionError("denominator is zero where numerator is not")
-    out = np.zeros(a.shape)
+    out = np.zeros(np.broadcast(a, b).shape) if small else _empty(union, np.zeros)
     np.divide(a, b, out=out, where=~zero)
     return _fresh(union, out)
 
@@ -306,21 +335,22 @@ def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
     """``max_out`` of t over ``decision`` and the index of the maximizing state, from one max.
 
     As in ``np.argmax``, ties resolve to the lowest state index and a NaN to
-    the first NaN.  A large table writes each state's index wherever that
-    state attains the max or is NaN, over whole slices and from the last
-    state down, so the lowest such index stays.
+    the first NaN.  A large table counts, over whole slices, the states before
+    the first one that attains the max or is NaN.
     """
     axis = _axis_of(t, decision)
     values = t.values
     domain = t.domain[:axis] + t.domain[axis + 1 :]
     top = np.maximum.reduce(values, axis=axis)
     if values.size < STREAM_CELLS:
-        idx = np.asarray(np.argmax(values, axis=axis), dtype=np.int64)
+        idx = np.asarray(values.argmax(axis=axis), dtype=np.int64)
     else:
-        idx = np.empty_like(top, dtype=np.int64)
-        for i in range(values.shape[axis] - 1, -1, -1):
+        idx = np.zeros(top.shape, dtype=np.int64)
+        miss = np.ones(top.shape, dtype=bool)  # no state so far attains the max or is NaN
+        for i in range(values.shape[axis] - 1):
             s = values[(slice(None),) * axis + (i,)]
-            np.copyto(idx, i, where=(s == top) | (s != s))
+            miss &= (s != top) & (s == s)
+            idx += miss
     return _fresh(domain, top), _fresh(domain, idx)
 
 
@@ -332,11 +362,9 @@ def argmax_over(t: Table, decision: "Variable") -> Table:
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
     # As a function, a table is constant in variables outside its domain:
     # summing such a variable scales by its state count, maximizing is a no-op.
-    if v in t.domain:
-        return max_out(t, v) if maximize else sum_out(t, v)
-    if maximize:
-        return t
-    return _fresh(t.domain, t.values * len(v.states))
+    if v not in t.domain:
+        return t if maximize else _fresh(t.domain, t.values * len(v.states))
+    return max_out(t, v) if maximize else sum_out(t, v)
 
 
 def marg_all(
@@ -370,14 +398,15 @@ def marg_all(
 
     rho = multiply(phi, psi)
     for v in order:
-        if v.is_decision and on_decision is not None:
+        maximize = v.is_decision
+        if maximize and on_decision is not None:
             if v in rho.domain:
                 top, choice = max_and_argmax(rho, v)
             else:  # every state ties, so state 0 wins
                 top, choice = rho, _fresh(rho.domain, np.zeros_like(rho.values, dtype=np.int64))
             on_decision(v, phi, choice)
         else:
-            top = _marg_one(rho, v, maximize=v.is_decision)
-        phi = _marg_one(phi, v, maximize=v.is_decision)
+            top = _marg_one(rho, v, maximize)
+        phi = _marg_one(phi, v, maximize)
         rho = top
     return phi, divide(rho, phi)

@@ -12,14 +12,14 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 
 
-def _run_script(name, *args, stdin=None):
+def _run_script(name, *args, stdin=None, env=()):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         input=stdin,
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **dict(env)},
     )
 
 
@@ -44,6 +44,16 @@ def test_oracle_sweep_agrees_on_five_models():
     assert out.returncode == 0, out.stderr
     assert "models: 5  heuristic: min-fill" in out.stdout
     assert out.stdout.endswith("agreement\n")
+
+
+def test_report_digest_is_the_same_under_two_hash_seeds():
+    lines = []
+    for seed in ("0", "1"):
+        out = _run_script("report_digest.py", "--count", "20", env={"PYTHONHASHSEED": seed})
+        assert out.returncode == 0, out.stderr
+        lines.append(out.stdout)
+    assert lines[0].startswith("models: 22  sha256: ") and lines[0].count("\n") == 1
+    assert lines[0] == lines[1]
 
 
 def test_every_traced_benchmark_target_resolves():

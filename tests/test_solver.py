@@ -69,6 +69,21 @@ def test_assignment_goes_to_lowest_index_clique(golden_model):
     assert set(run.states[1].phi.domain) >= set(golden_model.family(golden_model.var("b")))
 
 
+def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
+    x, d = tiny_model.var("x"), tiny_model.var("D")
+    cliques = (Clique(frozenset({x, d}), 1), Clique(frozenset({d}), 2), Clique(frozenset({d}), 3))
+    run = initialize(StrongJunctionTree(cliques, {2: 1, 3: 1}, 1), tiny_model)
+    unit, null = run.states[2].phi, run.states[2].psi  # clique 2 and 3 hold no factor
+    assert run.states[3].phi is unit and run.states[3].psi is null
+    for shared in (unit, null):
+        assert not shared.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared.values[()] = 7.0
+    collect(run)  # absorbing replaces the parent's potentials, never writes into them
+    assert float(unit.values) == 1.0 and float(null.values) == 0.0
+    assert meu(run) == solve(compile_diagram(tiny_model)[0], tiny_model).meu
+
+
 def test_initialize_names_the_factor_no_clique_holds(tiny_model):
     x, d = tiny_model.var("x"), tiny_model.var("D")
     cliques = (Clique(frozenset({x}), 1), Clique(frozenset({d}), 2))

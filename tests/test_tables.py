@@ -529,14 +529,18 @@ def test_marg_all_reports_the_argmax_of_the_max_it_takes(states):
     assert seen[0][2].domain == phi.domain and not seen[0][2].values.any()
 
 
+def _union(t1, t2):
+    return tuple(sorted(set(t1.domain) | set(t2.domain), key=canonical_key))
+
+
+def _embedded(t, union):
+    return t.values.reshape([len(v.states) if v in t.domain else 1 for v in union])
+
+
 def _numpy_broadcast(op, t1, t2):
     """The reference: numpy's own broadcasting of both operands over the canonical union."""
-    union = tuple(sorted(set(t1.domain) | set(t2.domain), key=lambda v: (v.rank, v.name)))
-
-    def embed(t):
-        return t.values.reshape([len(v.states) if v in t.domain else 1 for v in union])
-
-    return op(embed(t1), embed(t2))
+    union = _union(t1, t2)
+    return op(_embedded(t1, union), _embedded(t2, union))
 
 
 def _subtable(rng, domain, keep, pool=VALUE_POOL):
@@ -606,3 +610,48 @@ def test_large_clique_solve_agrees_with_brute_force():
         ref = brute_force(diagram).meu
         assert abs(result.meu - ref) <= 1e-9 * max(1.0, abs(ref)), states
         assert abs(rollout(diagram, list(result.policies)) - ref) <= 1e-9 * max(1.0, abs(ref)), states
+
+
+def _zero_where(num, den):
+    """num with every cell zeroed that meets a zero of den over the union, so num / den is defined."""
+    union = _union(num, den)
+    zero = np.broadcast_to(_embedded(den, union) == 0.0, [len(v.states) for v in union])
+    hit = zero.any(axis=tuple(i for i, v in enumerate(union) if v not in num.domain))
+    return Table(num.domain, np.where(hit.reshape(num.values.shape), 0.0, num.values))
+
+
+def _numpy_divide(num, den):
+    """The reference quotient, 0/0 = 0, over numpy's broadcast of both operands."""
+    def quotient(a, b):
+        return np.divide(a, b, out=np.zeros(np.broadcast_shapes(a.shape, b.shape)), where=b != 0.0)
+
+    return _numpy_broadcast(quotient, num, den)
+
+
+@pytest.mark.parametrize("counts", [(3, 2, 2, 1, 2), (3, 2, 4, 2, 5, 2, 3, 2, 2, 1, 2, 3)])  # 24, 69120 cells
+def test_fast_paths_match_numpy_broadcast_bit_for_bit(counts):
+    rng = np.random.default_rng(13)
+    domain, twins = _variables(counts), _variables(counts)  # equal variables, distinct objects
+    pairs = {  # equal domains and a scalar take one ufunc call; subset and interleaved embed first
+        "equal": (lambda v: True, lambda v: True),
+        "scalar": (lambda v: False, lambda v: True),
+        "subset": (lambda v: True, lambda v: domain.index(v) % 2 == 0),
+        "interleaved": (lambda v: domain.index(v) % 2 == 0, lambda v: domain.index(v) % 3 != 0),
+    }
+    for name, (keep1, keep2) in pairs.items():
+        t1, t2 = _subtable(rng, domain, keep1), _subtable(rng, twins, keep2)
+        for a, b in ((t1, t2), (t2, t1)):
+            nonzero = _subtable(rng, b.domain, lambda v: True, VALUE_POOL[2:])
+            flat = b.values.reshape(-1).copy()
+            flat[0] = 0.0
+            den = Table(b.domain, flat.reshape(b.values.shape))  # a zero for sure
+            num = _zero_where(a, den)
+            with np.errstate(invalid="ignore"):
+                got = [multiply(a, b), add(a, b), divide(a, nonzero), divide(num, den)]
+                want = [_numpy_broadcast(np.multiply, a, b), _numpy_broadcast(np.add, a, b),
+                        _numpy_broadcast(np.divide, a, nonzero), _numpy_divide(num, den)]
+            for g, w in zip(got, want):
+                assert g.domain == _union(a, b) and _same_bits(g.values, w), name
+                assert (g.values.size >= STREAM_CELLS) == (len(counts) > 5), name
+            with pytest.raises(UndefinedDivisionError):  # x/0 with x != 0
+                divide(_subtable(rng, a.domain, lambda v: True, VALUE_POOL[2:]), den)
