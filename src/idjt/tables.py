@@ -24,9 +24,9 @@ orders, where numpy keeps several accumulators.  Smaller tables, and tables a
 constructor builds, are C-contiguous in canonical order.
 
 A product, sum or quotient is one ufunc call on the operands' values when
-the domains are equal or one table is a scalar, at any size, and when the
-result is small; only a large broadcast over different domains runs through
-``_stream``.  Each cell goes through the same ufunc as in numpy's own
+the domains are equal or one table is a scalar, at any size, or when the
+result is small; ``_stream`` splits only a large broadcast over different
+domains.  Each cell goes through the same ufunc as in numpy's own
 broadcast, so the results are bit for bit numpy's.
 """
 
@@ -285,10 +285,9 @@ def _pointwise(ufunc, t1: Table, t2: Table) -> Table:
     union, a, b = _operands(t1, t2)
     if a.size * b.size < STREAM_CELLS:  # so is the output
         return _fresh(union, ufunc(a, b))
-    if a.shape == b.shape or not a.ndim or not b.ndim:  # equal domains or a scalar: one call
-        return _fresh(union, ufunc(a, b, out=_empty(union)))
     axes = _layout(union)
-    out = _stream(ufunc, a.transpose(axes), b.transpose(axes))
+    a, b = (x.reshape(x.shape or (1,) * len(union)).transpose(axes) for x in (a, b))  # a scalar is 0-d
+    out = _stream(ufunc, a, b)
     return _fresh(union, out.transpose(np.argsort(axes)))
 
 
@@ -309,7 +308,7 @@ def divide(num: Table, den: Table) -> Table:
         return _fresh(union, np.divide(a, b) if small else np.divide(a, b, out=_empty(union)))
     if (zero & (a != 0.0)).any():
         raise UndefinedDivisionError("denominator is zero where numerator is not")
-    out = np.zeros(np.broadcast(a, b).shape) if small else _empty(union, np.zeros)
+    out = _empty(union, np.zeros)
     np.divide(a, b, out=out, where=~zero)
     return _fresh(union, out)
 
@@ -345,8 +344,8 @@ def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
     if values.size < STREAM_CELLS:
         idx = np.asarray(values.argmax(axis=axis), dtype=np.int64)
     else:
-        idx = np.zeros(top.shape, dtype=np.int64)
-        miss = np.ones(top.shape, dtype=bool)  # no state so far attains the max or is NaN
+        idx = np.zeros_like(top, dtype=np.int64)  # in top's memory order, which is _layout's
+        miss = np.ones_like(top, dtype=bool)  # no state so far attains the max or is NaN
         for i in range(values.shape[axis] - 1):
             s = values[(slice(None),) * axis + (i,)]
             miss &= (s != top) & (s == s)
@@ -362,9 +361,11 @@ def argmax_over(t: Table, decision: "Variable") -> Table:
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
     # As a function, a table is constant in variables outside its domain:
     # summing such a variable scales by its state count, maximizing is a no-op.
-    if v not in t.domain:
-        return t if maximize else _fresh(t.domain, t.values * len(v.states))
-    return max_out(t, v) if maximize else sum_out(t, v)
+    if v in t.domain:
+        return max_out(t, v) if maximize else sum_out(t, v)
+    if maximize:
+        return t
+    return _fresh(t.domain, t.values * len(v.states))
 
 
 def marg_all(
@@ -398,15 +399,14 @@ def marg_all(
 
     rho = multiply(phi, psi)
     for v in order:
-        maximize = v.is_decision
-        if maximize and on_decision is not None:
+        if v.is_decision and on_decision is not None:
             if v in rho.domain:
                 top, choice = max_and_argmax(rho, v)
             else:  # every state ties, so state 0 wins
                 top, choice = rho, _fresh(rho.domain, np.zeros_like(rho.values, dtype=np.int64))
             on_decision(v, phi, choice)
         else:
-            top = _marg_one(rho, v, maximize)
-        phi = _marg_one(phi, v, maximize)
+            top = _marg_one(rho, v, maximize=v.is_decision)
+        phi = _marg_one(phi, v, maximize=v.is_decision)
         rho = top
     return phi, divide(rho, phi)

@@ -507,6 +507,11 @@ def test_large_results_are_one_read_only_buffer_in_elimination_layout():
     stored = multiply(phi, psi)
     small = sum_out(stored, b)  # 6144 cells, reduced from a table stored in layout
     assert small.values.flags.c_contiguous and not np.shares_memory(small.values, stored.values)
+    # the max and the index over a table stored in layout are written in that
+    # order over three stages, so each is the buffer it was computed in
+    for out in max_and_argmax(stored, dec):
+        assert out.values.transpose(_elimination_layout(out.domain)).flags.c_contiguous
+        assert out.values.flags.owndata
 
 
 @pytest.mark.parametrize("states", [1, 12])  # a small table, and a streamed one
