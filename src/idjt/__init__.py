@@ -53,7 +53,6 @@ from .tables import (
     Table,
     UndefinedDivisionError,
     add,
-    argmax_over,
     divide,
     extend,
     marg_all,

@@ -12,6 +12,7 @@ import argparse
 import ctypes
 import functools
 import io
+import itertools
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -45,12 +46,9 @@ def _policy_lines(result: solver.SolveResult) -> list[str]:
         dom = ", ".join(v.name for v in pol.domain)
         lines.append(f"policy {pol.decision.name} (clique C{result.policy_clique[pol.decision.name]},"
                      f" domain: {dom if dom else 'none'})")
-        idx_iter = [[]]
-        for v in pol.domain:
-            idx_iter = [prefix + [s] for prefix in idx_iter for s in range(len(v.states))]
-        for idx in idx_iter:
+        for idx in itertools.product(*(range(len(v.states)) for v in pol.domain)):
             cfg = " ".join(f"{v.name}={v.states[s]}" for v, s in zip(pol.domain, idx))
-            pick = pol.decision.states[int(pol.choice.values[tuple(idx)])]
+            pick = pol.decision.states[int(pol.choice.values[idx])]
             lines.append(f"  {cfg + ' ' if cfg else ''}-> {pick}")
     return lines
 

@@ -69,9 +69,6 @@ class MoralGraph:
             adj[b] |= 1 << a
         return vs, ids, tuple(adj)
 
-    def has_edge(self, u: Variable, v: Variable) -> bool:
-        return frozenset((u, v)) in self.edges
-
 
 def moralize(diagram: InfluenceDiagram) -> MoralGraph:
     """Drop arc directions, marry parents, and complete each utility domain.
@@ -322,9 +319,6 @@ class StrongJunctionTree:
 
     def children(self, index: int) -> list[int]:
         return list(self._children.get(index, ()))
-
-    def variables(self) -> frozenset[Variable]:
-        return frozenset().union(*(c.members for c in self.cliques))
 
 
 def lowest_holders(

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
@@ -142,22 +143,8 @@ class InfluenceDiagram:
                 out.setdefault(p, []).append(c)
         return out
 
-    def descendants(self, v: Variable) -> set[Variable]:
-        return _reachable(self.children(), v)
-
     def state_space_size(self) -> int:
         return math.prod(len(v.states) for v in self.variables)
-
-
-def _reachable(children: Mapping[Variable, list[Variable]], v: Variable) -> set[Variable]:
-    seen: set[Variable] = set()
-    stack = list(children.get(v, ()))
-    while stack:
-        w = stack.pop()
-        if w not in seen:
-            seen.add(w)
-            stack.extend(children[w])
-    return seen
 
 
 class Violation(NamedTuple):
@@ -252,28 +239,38 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     if not math.isfinite(bound):
         out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
 
-    # Kahn's cycle check over chance arcs plus decision->child arcs
+    # Kahn's sweep over chance arcs plus decision->child arcs.  Bit k of
+    # reach[v] is set when decisions[k] is v or has a path to v, so one pass
+    # over the arcs finds every decision that influences a variable.
     children = diagram.children()
     indegree = Counter(c for cs in children.values() for c in cs)
+    reach = dict.fromkeys(children, 0)
+    for k, d in enumerate(decisions):
+        reach[d] |= 1 << k
     ready = [v for v in children if not indegree[v]]
     for v in ready:  # the list grows while it is walked
+        bits = reach[v]
         for c in children[v]:
+            reach[c] |= bits
             indegree[c] -= 1
             if not indegree[c]:
                 ready.append(c)
     if len(ready) < len(children):
         out.append(Violation("cycle", "directed graph over the variables has a cycle"))
-    else:
-        for d in decisions:
-            hit = [x for x in _reachable(children, d) if x.rank < d.rank]
-            for x in sorted(hit, key=lambda v: v.name):
-                out.append(
-                    Violation(
-                        "temporal",
-                        f"decision {d.name!r} influences {x.name!r}, which is observed "
-                        f"before it (stage {x.stage})",
-                    )
+        return out
+    # decisions[k] is later than x exactly when k >= bisect_right(ranks, x.rank)
+    ranks = [d.rank for d in decisions]
+    early = [x for x in ready if reach[x] >> bisect_right(ranks, x.rank)]
+    for k, d in enumerate(decisions):
+        hit = [x for x in early if reach[x] >> k & 1 and x.rank < d.rank]
+        for x in sorted(hit, key=lambda v: v.name):
+            out.append(
+                Violation(
+                    "temporal",
+                    f"decision {d.name!r} influences {x.name!r}, which is observed "
+                    f"before it (stage {x.stage})",
                 )
+            )
     return out
 
 

@@ -133,9 +133,6 @@ class Table:
 
     # -- views -------------------------------------------------------------
 
-    def flat(self) -> np.ndarray:
-        return self.values.reshape(-1)
-
     def to_flat(self, order: Sequence["Variable"]) -> np.ndarray:
         """Values raveled row-major with axes in the requested variable order."""
         order = tuple(order)
@@ -154,9 +151,6 @@ class Table:
     def __repr__(self):
         names = ",".join(v.name for v in self.domain)
         return f"Table({names}; {self.values.tolist()!r})"
-
-    def __add__(self, other):
-        return add(self, other)
 
 
 def _fresh(domain: tuple["Variable", ...], values) -> Table:
@@ -320,14 +314,16 @@ def _axis_of(t: Table, v: "Variable") -> int:
         raise ValueError(f"variable {v.name!r} not in table domain") from None
 
 
+def _reduce(ufunc, t: Table, axis: int) -> Table:
+    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], ufunc.reduce(t.values, axis=axis))
+
+
 def sum_out(t: Table, v: "Variable") -> Table:
-    axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.add.reduce(t.values, axis=axis))
+    return _reduce(np.add, t, _axis_of(t, v))
 
 
 def max_out(t: Table, v: "Variable") -> Table:
-    axis = _axis_of(t, v)
-    return _fresh(t.domain[:axis] + t.domain[axis + 1 :], np.maximum.reduce(t.values, axis=axis))
+    return _reduce(np.maximum, t, _axis_of(t, v))
 
 
 def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
@@ -354,18 +350,21 @@ def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
 
 
 def argmax_over(t: Table, decision: "Variable") -> Table:
-    """Index of the maximizing state of ``decision`` per remaining configuration."""
+    """Index of the maximizing state of ``decision`` per remaining configuration.
+
+    Nothing in the package calls it; ``perfbench/tracing.py`` still wraps it by name.
+    """
     return max_and_argmax(t, decision)[1]
 
 
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
-    # As a function, a table is constant in variables outside its domain:
-    # summing such a variable scales by its state count, maximizing is a no-op.
-    if v in t.domain:
-        return max_out(t, v) if maximize else sum_out(t, v)
-    if maximize:
-        return t
-    return _fresh(t.domain, t.values * len(v.states))
+    try:
+        axis = t.domain.index(v)
+    except ValueError:
+        # As a function, a table is constant in variables outside its domain:
+        # summing such a variable scales by its state count, maximizing is a no-op.
+        return t if maximize else _fresh(t.domain, t.values * len(v.states))
+    return _reduce(np.maximum if maximize else np.add, t, axis)
 
 
 def marg_all(

@@ -161,7 +161,7 @@ def test_criterion_3_absorption_preserves_contraction():
             for d in tree.cliques:
                 if d.index not in run.retired:
                     live_vars |= d.members
-            gone = set(tree.variables()) - live_vars
+            gone = set(model.variables) - live_vars
             want_phi, want_psi = marg_all(phi_all, psi_all, gone)
             got_phi, got_psi = global_pair(run)
             want = multiply(want_phi, want_psi)

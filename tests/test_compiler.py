@@ -88,10 +88,10 @@ def test_every_family_and_utility_domain_complete_in_moral_graph(golden_model):
     for v in golden_model.chance_variables:
         fam = golden_model.family(v)
         for a, b in itertools.combinations(fam, 2):
-            assert g.has_edge(a, b)
+            assert frozenset((a, b)) in g.edges
     for u in golden_model.utilities:
         for a, b in itertools.combinations(u.domain, 2):
-            assert g.has_edge(a, b)
+            assert frozenset((a, b)) in g.edges
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def test_min_fill_picks_the_simplicial_vertex_first():
     adj = _adjacency(graph)
 
     def fill_count(v):
-        return sum(1 for a, b in itertools.combinations(adj[v], 2) if not graph.has_edge(a, b))
+        return sum(1 for a, b in itertools.combinations(adj[v], 2) if frozenset((a, b)) not in graph.edges)
 
     # independent count of fill edges per candidate: s is uniquely zero
     assert fill_count(s) == 0
@@ -373,7 +373,7 @@ def _brute_force_maximal_cliques(graph):
     complete = []
     for r in range(1, len(vs) + 1):
         for sub in itertools.combinations(vs, r):
-            if all(graph.has_edge(a, b) for a, b in itertools.combinations(sub, 2)):
+            if all(frozenset((a, b)) in graph.edges for a, b in itertools.combinations(sub, 2)):
                 complete.append(frozenset(sub))
     return {c for c in complete if not any(c < d for d in complete)}
 
@@ -720,7 +720,7 @@ def _disconnected_variables(tree):
     graph.add_nodes_from(c.index for c in tree.cliques)
     return {
         v.name
-        for v in tree.variables()
+        for v in frozenset().union(*(c.members for c in tree.cliques))
         if not nx.is_connected(graph.subgraph(c.index for c in tree.cliques if v in c.members))
     }
 

@@ -1,6 +1,8 @@
 """Parsing, serialization round-trips, semantic validation, temporal order."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ def test_minimal_single_variable_document():
     d = parse_model("chance a states yes no stage 0\ncpt a : 0.5 0.5\n")
     assert [v.name for v in d.variables] == ["a"]
     assert d.parents["a"] == ()
-    assert d.cpts["a"].flat().tolist() == [0.5, 0.5]
+    assert d.cpts["a"].values.reshape(-1).tolist() == [0.5, 0.5]
     assert d.decisions == ()
 
 
@@ -185,7 +187,7 @@ def test_row_normalization_tolerance_is_absolute_1e9():
     bad = parse_model("chance a states x y stage 0\ncpt a : 0.5 0.500000002\n")
     assert [v.kind for v in validate(bad)] == ["normalization"]  # off by 2e-9
     # values are reported, never silently renormalized
-    assert ok.cpts["a"].flat().tolist() == [0.5, 0.5000000005]
+    assert ok.cpts["a"].values.reshape(-1).tolist() == [0.5, 0.5000000005]
 
 
 def test_negative_probability_violation():
@@ -310,6 +312,110 @@ def test_validate_accepts_a_5000_variable_chain():
     assert validate(diagram) == []
 
 
+def _arc_graph(diagram):
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(diagram.variables)
+    for v in diagram.chance_variables:
+        graph.add_edges_from((p, v) for p in diagram.parents.get(v.name, ()))
+    return nx, graph
+
+
+def _reference_order_violations(diagram):
+    """The cycle and temporal violations, by networkx and one walk per decision."""
+    nx, graph = _arc_graph(diagram)
+    if not nx.is_directed_acyclic_graph(graph):
+        return [("cycle", "directed graph over the variables has a cycle")]
+    children = diagram.children()
+    out = []
+    for d in diagram.decisions:
+        seen, stack = set(), list(children[d])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(children[w])
+        for x in sorted((x for x in seen if x.rank < d.rank), key=lambda v: v.name):
+            out.append(
+                (
+                    "temporal",
+                    f"decision {d.name!r} influences {x.name!r}, which is observed "
+                    f"before it (stage {x.stage})",
+                )
+            )
+    return out
+
+
+def _mutate(model, rng, kind):
+    """model with added arcs of one kind, and a quarter of the time a decision listed twice.
+
+    ``direct`` adds an arc from a decision into its past, ``transitive`` a
+    path of two arcs through a later variable, ``cycle`` two opposite arcs
+    and ``random`` one to three arcs between any variables.
+    """
+    parents = dict(model.parents)
+    chance = model.chance_variables
+    first = min(x.rank for x in chance)
+    d = rng.choice([d for d in model.decisions if d.rank > first] or model.decisions)
+    early = [x for x in chance if x.rank < d.rank] or chance
+    late = [x for x in chance if x.rank > d.rank] or chance
+    if kind == "direct":
+        arcs = [(d, rng.choice(early))]
+    elif kind == "transitive":
+        z = rng.choice(late)
+        arcs = [(d, z), (z, rng.choice(early))]
+    elif kind == "cycle":
+        x, y = rng.sample(chance, 2) if len(chance) > 1 else (chance[0], chance[0])
+        arcs = [(x, y), (y, x)]
+    else:
+        arcs = [(rng.choice(model.variables), rng.choice(chance)) for _ in range(rng.randint(1, 3))]
+    for p, c in arcs:
+        if p != c and p not in parents[c.name]:
+            parents[c.name] += (p,)
+    variables = model.variables + ((d,) if rng.random() < 0.25 else ())
+    return InfluenceDiagram(variables, parents, model.cpts, model.utilities)
+
+
+def test_order_violations_match_the_per_decision_walk():
+    rng = random.Random(14)
+    found = Counter()
+    for seed in range(400):
+        kind = ("direct", "transitive", "cycle", "random")[seed % 4]
+        mutant = _mutate(random_model(seed, max_variables=10, max_decisions=4), rng, kind)
+        want = _reference_order_violations(mutant)
+        got = [tuple(p) for p in validate(mutant) if p.kind in ("cycle", "temporal")]
+        assert got == want, seed
+        twice = len(set(mutant.variables)) < len(mutant.variables)
+        found.update((kind, violation, twice) for violation in dict(want))
+    for kind, violation in [("direct", "temporal"), ("transitive", "temporal"), ("cycle", "cycle"),
+                            ("random", "temporal"), ("random", "cycle")]:
+        assert found[kind, violation, False] and found[kind, violation, True], found
+    assert sum(found.values()) >= 250, found
+
+
+def test_validate_walks_each_arc_a_bounded_number_of_times(monkeypatch):
+    # a 1000-decision stage chain: one walk per decision visits every later
+    # variable, about m^2 / 2 visits in all
+    m = 1000
+    xs = [chance_var(f"x{k}", ("0", "1"), k) for k in range(m + 1)]
+    ds = [decision_var(f"D{k}", ("a", "b"), k) for k in range(1, m + 1)]
+    parents = {"x0": (), **{f"x{k}": (xs[k - 1], ds[k - 1]) for k in range(1, m + 1)}}
+    cpts = {v.name: Table.from_flat([*parents[v.name], v], [0.5] * 2 ** (len(parents[v.name]) + 1))
+            for v in xs}
+    diagram = InfluenceDiagram((*xs, *ds), parents, cpts, ())
+    calls = 0
+    hash_ = Variable.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return hash_(self)
+
+    monkeypatch.setattr(Variable, "__hash__", counting)
+    assert validate(diagram) == []
+    assert calls <= 20 * (len(xs) + len(ds) + 2 * m)
+
+
 # ---------------------------------------------------------------------------
 # temporal rank
 
@@ -322,8 +428,9 @@ def test_precedes_on_the_four_decision_partition(golden):
 
 
 def test_no_path_from_decision_into_its_past(golden_model):
+    nx, graph = _arc_graph(golden_model)
     for d in golden_model.decisions:
-        for reached in golden_model.descendants(d):
+        for reached in nx.descendants(graph, d):
             assert reached.rank > d.rank
 
 

@@ -11,6 +11,7 @@ from idjt import (
     InvariantError,
     Table,
     absorb,
+    add,
     chance_var,
     collect,
     compile_diagram,
@@ -137,7 +138,7 @@ def test_absorption_with_empty_marginalization_merges_potentials():
     run = _two_clique_run(phi1, psi1, phi2, psi2, {A, B}, {A, B})
     absorb(run, 2)
     assert run.states[1].phi.equals(multiply(phi1, phi2))
-    assert run.states[1].psi.equals(psi1 + psi2)
+    assert run.states[1].psi.equals(add(psi1, psi2))
 
 
 def test_absorb_rejects_child_with_live_children():
@@ -184,12 +185,12 @@ def test_absorption_preserves_global_contraction_on_two_clique_trees():
         run = _two_clique_run(phi1, psi1, phi2, psi2, parent, child)
 
         phi_t = multiply(phi1, phi2)
-        rho_t = multiply(phi_t, psi1 + psi2)
+        rho_t = multiply(phi_t, add(psi1, psi2))
         absorb(run, 2)
 
         # contraction of the absorbed tree equals the global contraction
         got = multiply(run.states[1].phi, run.states[1].psi)
-        want_phi, want_psi = marg_all(phi_t, psi1 + psi2, child - sep_vars)
+        want_phi, want_psi = marg_all(phi_t, add(psi1, psi2), child - sep_vars)
         want = multiply(want_phi, want_psi)
         dom = set(got.domain) | set(want.domain)
         assert extend(got, dom).equals(extend(want, dom), rtol=1e-9, atol=1e-12)
@@ -244,7 +245,7 @@ def test_collect_matches_global_contraction_on_small_models():
         phi_all, psi_all = global_pair(run, live_only=False)
         collect(run)
         root_members = tree.clique(tree.root).members
-        gone = set(tree.variables()) - root_members
+        gone = set(model.variables) - root_members
         want_phi, want_psi = marg_all(phi_all, psi_all, gone)
         got_phi, got_psi = run.states[tree.root].phi, run.states[tree.root].psi
         got = multiply(got_phi, got_psi)

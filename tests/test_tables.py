@@ -15,7 +15,6 @@ from idjt import (
     Table,
     UndefinedDivisionError,
     add,
-    argmax_over,
     brute_force,
     chance_var,
     compile_diagram,
@@ -50,7 +49,7 @@ def t(domain, flat):
 def test_extend_scalar_is_constant():
     out = extend(Table.scalar(3.0), {A})
     assert out.domain == (A,)
-    assert out.flat().tolist() == [3.0, 3.0]
+    assert out.values.reshape(-1).tolist() == [3.0, 3.0]
 
 
 def test_extend_to_own_domain_is_identity():
@@ -86,7 +85,7 @@ def test_product_of_two_marginals():
     pb = t([B], [0.5, 0.5])
     out = multiply(pa, pb)
     assert out.domain == (A, B)
-    assert out.flat().tolist() == [0.10, 0.10, 0.40, 0.40]
+    assert out.values.reshape(-1).tolist() == [0.10, 0.10, 0.40, 0.40]
 
 
 def _pointwise_product(t1, t2):
@@ -143,7 +142,7 @@ def test_divide_mixed_support():
 
 
 # ---------------------------------------------------------------------------
-# sum_out / max_out / argmax_over
+# sum_out / max_out / max_and_argmax
 
 
 def test_sum_out_cpt_child_gives_unit():
@@ -197,9 +196,9 @@ def test_witness_found_by_enumeration():
 
 def test_argmax_basic_and_tie_break():
     table = t([D], [1.0, 3.0, 2.0])
-    assert int(argmax_over(table, D).values) == 1
+    assert int(max_and_argmax(table, D)[1].values) == 1
     flat_table = t([A, D], [7.0] * 6)
-    am = argmax_over(flat_table, D)
+    am = max_and_argmax(flat_table, D)[1]
     assert am.values.tolist() == [0, 0]
 
 
@@ -207,7 +206,7 @@ def test_argmax_basic_and_tie_break():
 @settings(max_examples=60, deadline=None)
 def test_argmax_agrees_with_max(flat):
     table = t([A, B, D], [float(x) for x in flat])
-    am = argmax_over(table, D)
+    am = max_and_argmax(table, D)[1]
     mx = max_out(table, D)
     for idx in itertools.product(range(2), range(2)):
         at = dict(zip((A, B), idx))
@@ -345,7 +344,7 @@ def test_operation_results_are_read_only_c_ordered_and_unshared():
     ad = t([A, D], [1.0, 3.0, 2.0, 4.0, 0.0, 4.0])
     results = [
         extend(ab, {A, B, X1}), multiply(ab, xa), add(ab, xa), divide(ab, xa),
-        sum_out(ab, B), max_out(ab, A), argmax_over(ad, D),
+        sum_out(ab, B), max_out(ab, A), max_and_argmax(ad, D)[1],
         sum_out(sum_out(ab, A), B),  # a full reduction is a 0-d table, not a numpy scalar
         marg_all(ab, xa, [X1], None)[0],  # X1 only in psi: phi is scaled by its state count
     ]
@@ -460,7 +459,7 @@ def test_large_argmax_ties_go_to_the_lowest_index(shape):
     values[1, 2, :] = 0.0
     table = multiply(Table(domain, values), Table.unit())  # stored with the decision outermost
     assert not table.values.flags.c_contiguous
-    got = argmax_over(table, domain[1]).values
+    got = max_and_argmax(table, domain[1])[1].values
     assert _same_bits(got, np.argmax(np.ascontiguousarray(table.values), axis=1))
     assert set(np.unique(got).tolist()) == {0, 1, 3}
 
@@ -476,7 +475,7 @@ def test_large_argmax_with_nan_matches_numpy():
     values = np.ascontiguousarray(table.values)
     for axis, v in enumerate(domain):
         with np.errstate(invalid="ignore"):
-            got = argmax_over(table, v).values
+            got = max_and_argmax(table, v)[1].values
         assert _same_bits(got, np.argmax(values, axis=axis)), axis
         assert _same_bits(max_out(table, v).values, values.max(axis=axis)), axis
         top = max_and_argmax(table, v)[0].values
@@ -527,7 +526,7 @@ def test_marg_all_reports_the_argmax_of_the_max_it_takes(states):
     rho = sum_out(sum_out(multiply(phi, psi), late[0]), late[1])
     [(decision, phi_at_d, choice)] = seen
     assert decision == D and set(phi_at_d.domain) == set(early)
-    assert _same_bits(choice.values, argmax_over(rho, D).values)
+    assert _same_bits(choice.values, max_and_argmax(rho, D)[1].values)
     # a decision outside rho's domain: every state ties, and state 0 is recorded
     seen.clear()
     marg_all(phi, Table.null(), [D], on_decision=lambda *step: seen.append(step))
