@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -327,19 +328,21 @@ def lowest_holders(
     """For each (domain, bound) query, the lowest-index clique with an index
     below the bound that holds the domain, or None.
 
-    Only the holders of the domain's rarest member are scanned, in index
-    order; an empty domain is held by the lowest-index clique.
+    Bit p of holding[v] is set when the p-th clique in index order holds v; a
+    query ANDs its domain's bitsets into the positions below the bound and
+    takes the lowest set bit, so an empty domain is held by the first clique.
     """
     by_index = sorted(cliques, key=lambda c: c.index)
-    holding: dict[Variable, list[Clique]] = {}
-    for c in by_index:
+    indices, holding = [c.index for c in by_index], {}
+    for p, c in enumerate(by_index):
         for v in c.members:
-            holding.setdefault(v, []).append(c)
+            holding[v] = holding.get(v, 0) | 1 << p
     out: list[Clique | None] = []
     for domain, bound in queries:
-        pool = min((holding.get(v, ()) for v in domain), key=len, default=by_index)
-        first = next((d for d in pool if domain <= d.members), None)
-        out.append(first if first is not None and first.index < bound else None)
+        bits = (1 << bisect_left(indices, bound)) - 1
+        for v in domain:
+            bits &= holding.get(v, 0)
+        out.append(by_index[(bits & -bits).bit_length() - 1] if bits else None)
     return out
 
 

@@ -31,13 +31,12 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .tables import Table, canonical_key
+from .tables import Table, canonical_key, position
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -135,14 +134,6 @@ class InfluenceDiagram:
         """Parents of v followed by v itself."""
         return self.parents[v.name] + (v,)
 
-    def children(self) -> dict[Variable, list[Variable]]:
-        """Chance children of every variable, in declaration order."""
-        out: dict[Variable, list[Variable]] = {v: [] for v in self.variables}
-        for c in self.chance_variables:
-            for p in self.parents.get(c.name, ()):
-                out.setdefault(p, []).append(c)
-        return out
-
     def state_space_size(self) -> int:
         return math.prod(len(v.states) for v in self.variables)
 
@@ -175,15 +166,13 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if len(set(v.states)) != len(v.states):
             out.append(Violation("states", f"variable {v.name!r} has duplicate state labels"))
 
-    decisions = diagram.decisions
+    chance, decisions = diagram.chance_variables, diagram.decisions
     n = len(decisions)
     indices = sorted(v.stage for v in decisions)
     if indices != list(range(1, n + 1)):
-        out.append(
-            Violation("decision-index", f"decision indices {indices} must be exactly 1..{n}")
-        )
+        out.append(Violation("decision-index", f"decision indices {indices} must be exactly 1..{n}"))
     late: dict[int, set[Variable]] = {}
-    for v in diagram.chance_variables:
+    for v in chance:
         if v.stage > n:
             late.setdefault(v.stage, set()).add(v)
     for k in sorted(late):
@@ -194,7 +183,7 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if v.is_decision and v.name in diagram.parents and diagram.parents[v.name]:
             out.append(Violation("parents", f"decision {v.name!r} must not have parents"))
 
-    for v in diagram.chance_variables:
+    for v in chance:
         ps = diagram.parents.get(v.name)
         if ps is None:
             out.append(Violation("parents", f"chance variable {v.name!r} has no parent entry"))
@@ -206,26 +195,22 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             out.append(Violation("cpt", f"chance variable {v.name!r} has no cpt"))
             continue
         if set(cpt.domain) != set(ps) | {v}:
-            out.append(
-                Violation("cpt", f"cpt of {v.name!r} is not over its family")
-            )
+            out.append(Violation("cpt", f"cpt of {v.name!r} is not over its family"))
             continue
-        if not np.all(np.isfinite(cpt.values)):
+        vals = cpt.values
+        sums = vals.sum(axis=position(cpt.domain, v))
+        if vals.min(initial=0.0) >= 0 and abs(sums - 1.0).max(initial=0.0) <= ROW_SUM_TOL:
+            continue  # NaN, an infinity or an overflowing row fails this and is itemized below
+        if not np.all(np.isfinite(vals)):
             out.append(Violation("cpt", f"cpt of {v.name!r} has non-finite entries"))
             continue
-        if np.any(cpt.values < 0):
+        if np.any(vals < 0):
             out.append(Violation("cpt", f"cpt of {v.name!r} has negative entries"))
-        axis = cpt.domain.index(v)
-        sums = cpt.values.sum(axis=axis)
         bad = np.abs(sums - 1.0) > ROW_SUM_TOL
         if np.any(bad):
             worst = float(np.asarray(sums)[bad].flat[0]) if sums.ndim else float(sums)
-            out.append(
-                Violation(
-                    "normalization",
-                    f"cpt rows of {v.name!r} must sum to 1 (found {worst!r})",
-                )
-            )
+            why = f"cpt rows of {v.name!r} must sum to 1 (found {worst!r})"
+            out.append(Violation("normalization", why))
 
     bound = 0.0  # bounds |total utility| over every configuration
     for u in diagram.utilities:
@@ -239,30 +224,44 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     if not math.isfinite(bound):
         out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
 
-    # Kahn's sweep over chance arcs plus decision->child arcs.  Bit k of
-    # reach[v] is set when decisions[k] is v or has a path to v, so one pass
-    # over the arcs finds every decision that influences a variable.
-    children = diagram.children()
-    indegree = Counter(c for cs in children.values() for c in cs)
-    reach = dict.fromkeys(children, 0)
+    # Kahn's sweep over chance arcs plus decision->child arcs, on positions:
+    # nodes[i] is the i-th distinct variable (an undeclared parent included),
+    # kids[i] its chance children.  Bit k of reach[i] is set when decisions[k]
+    # is nodes[i] or has a path to it, so one pass over the arcs finds every
+    # decision that influences a variable.
+    number: dict[Variable, int] = {}
+    for v in diagram.variables:
+        number.setdefault(v, len(number))
+    kids: list[list[int]] = [[] for _ in number]
+    indegree = [0] * len(number)
+    for c in chance:
+        i = number[c]
+        for p in diagram.parents.get(c.name, ()):
+            j = number.setdefault(p, len(number))
+            if j == len(kids):
+                kids.append([])
+                indegree.append(0)
+            kids[j].append(i)
+            indegree[i] += 1
+    nodes, reach = list(number), [0] * len(number)
     for k, d in enumerate(decisions):
-        reach[d] |= 1 << k
-    ready = [v for v in children if not indegree[v]]
-    for v in ready:  # the list grows while it is walked
-        bits = reach[v]
-        for c in children[v]:
+        reach[number[d]] |= 1 << k
+    ready = [i for i in range(len(nodes)) if not indegree[i]]
+    for i in ready:  # the list grows while it is walked
+        bits = reach[i]
+        for c in kids[i]:
             reach[c] |= bits
             indegree[c] -= 1
             if not indegree[c]:
                 ready.append(c)
-    if len(ready) < len(children):
+    if len(ready) < len(nodes):
         out.append(Violation("cycle", "directed graph over the variables has a cycle"))
         return out
     # decisions[k] is later than x exactly when k >= bisect_right(ranks, x.rank)
     ranks = [d.rank for d in decisions]
-    early = [x for x in ready if reach[x] >> bisect_right(ranks, x.rank)]
+    early = [(nodes[i], reach[i]) for i in ready if reach[i] >> bisect_right(ranks, nodes[i].rank)]
     for k, d in enumerate(decisions):
-        hit = [x for x in early if reach[x] >> k & 1 and x.rank < d.rank]
+        hit = [x for x, bits in early if bits >> k & 1 and x.rank < d.rank]
         for x in sorted(hit, key=lambda v: v.name):
             out.append(
                 Violation(
@@ -278,41 +277,20 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
 # parsing and serialization
 
 
-class _Line:
-    """One non-blank line: its number, comment-stripped body, tokens and a cursor."""
+def _error(line: tuple[int, str], message: str, at: int) -> ParseError:
+    """The error at token ``at`` of a (number, body) line, or at the line's end."""
+    number, body = line
+    spans = [m.span() for m in re.finditer(r"\S+", body)]
+    column = spans[at][0] + 1 if at < len(spans) else spans[-1][1] + 1
+    return ParseError(message, number, column)
 
-    def __init__(self, number: int, body: str, tokens: list[str]):
-        self.number = number
-        self.body = body
-        self.tokens = tokens
-        self.pos = 0
 
-    def error(self, message: str, at: int | None = None) -> ParseError:
-        """The error at token ``at`` (default: the cursor), or at the line's end."""
-        at = self.pos if at is None else at
-        spans = [m.span() for m in re.finditer(r"\S+", self.body)]
-        column = spans[at][0] + 1 if at < len(spans) else spans[-1][1] + 1
-        return ParseError(message, self.number, column)
-
-    def take(self, what: str) -> str:
-        if self.pos == len(self.tokens):
-            raise self.error(f"expected {what} at end of line")
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def expect(self, literal: str) -> None:
-        tok = self.take(repr(literal))
-        if tok != literal:
-            raise self.error(f"expected {literal!r}, found {tok!r}", self.pos - 1)
-
-    def run(self, stop: str) -> list[str]:
-        """The tokens before the next ``stop`` or the line's end; the cursor stops there."""
-        start = self.pos
-        try:
-            self.pos = self.tokens.index(stop, start)
-        except ValueError:
-            self.pos = len(self.tokens)
-        return self.tokens[start : self.pos]
+def _find(tokens: list[str], stop: str, start: int) -> int:
+    """Position of the first ``stop`` token from ``start`` on, or the line's length."""
+    try:
+        return tokens.index(stop, start)
+    except ValueError:
+        return len(tokens)
 
 
 def parse_model(text: str) -> InfluenceDiagram:
@@ -321,109 +299,121 @@ def parse_model(text: str) -> InfluenceDiagram:
     Semantic checks (normalization, acyclicity, temporal consistency) are
     deferred to :func:`validate`; this raises :class:`ParseError` only for
     syntax problems, unresolved or duplicate names, wrong table sizes, and
-    tables numpy cannot hold.
+    tables numpy cannot hold.  Each directive reads its fields by position
+    from the line's one ``split()``; a line is its (number, body) pair, and
+    the error column is worked out only when a check fails.
     """
-    declared: dict[Variable, _Line] = {}  # declaration order
+    declared: dict[Variable, tuple[int, str]] = {}  # declaration order
     by_name: dict[str, Variable] = {}
     names: set[str] = set()  # variables and utilities share one namespace
-    cpt_lines: dict[str, tuple[_Line, list[Variable], list[float]]] = {}
+    cpt_lines: dict[str, tuple[tuple[int, str], list[Variable], list[float]]] = {}
     utilities: list[Utility] = []
 
-    def claim(line: _Line, what: str) -> str:
-        name = line.take(what)
+    def claim(line: tuple[int, str], tokens: list[str], what: str, keyword: str) -> str:
+        """The new name at token 1, which ``keyword`` must follow."""
+        if len(tokens) < 2:
+            raise _error(line, f"expected {what} at end of line", 1)
+        name = tokens[1]
         if not _NAME_RE.match(name) or name in _KEYWORDS:
-            raise line.error(f"invalid {what} {name!r}", line.pos - 1)
+            raise _error(line, f"invalid {what} {name!r}", 1)
         if name in names:
-            raise line.error(f"duplicate name {name!r}", line.pos - 1)
+            raise _error(line, f"duplicate name {name!r}", 1)
         names.add(name)
+        if len(tokens) < 3:
+            raise _error(line, f"expected {keyword!r} at end of line", 2)
+        if tokens[2] != keyword:
+            raise _error(line, f"expected {keyword!r}, found {tokens[2]!r}", 2)
         return name
 
-    def resolve(line: _Line) -> list[Variable]:
-        start = line.pos
-        run = line.run(":")
+    def resolve(line: tuple[int, str], tokens: list[str]) -> tuple[list[Variable], int]:
+        """The variables named from token 3 up to the next ':', and that ':''s position."""
+        end = _find(tokens, ":", 3)
         try:
-            return [by_name[tok] for tok in run]
+            return [by_name[tok] for tok in tokens[3:end]], end
         except KeyError as e:
             tok = e.args[0]
-            raise line.error(f"undeclared variable {tok!r}", start + run.index(tok)) from None
+            raise _error(line, f"undeclared variable {tok!r}", tokens.index(tok, 3)) from None
 
-    def values(line: _Line) -> list[float]:
-        line.expect(":")
-        run = line.tokens[line.pos :]
+    def values(line: tuple[int, str], tokens: list[str], at: int) -> list[float]:
+        """The numbers after the ':' expected at token ``at``."""
+        if at == len(tokens):
+            raise _error(line, "expected ':' at end of line", at)
+        if tokens[at] != ":":
+            raise _error(line, f"expected ':', found {tokens[at]!r}", at)
         try:
-            return [float(tok) for tok in run]
+            return [float(tok) for tok in tokens[at + 1 :]]
         except ValueError:
-            for i, tok in enumerate(run):  # find the token float rejected
+            for i in range(at + 1, len(tokens)):  # find the token float rejected
                 try:
-                    float(tok)
+                    float(tokens[i])
                 except ValueError:
-                    raise line.error(f"expected a number, found {tok!r}", line.pos + i) from None
+                    raise _error(line, f"expected a number, found {tokens[i]!r}", i) from None
             raise
 
-    def table(line: _Line, what: str, dom: list[Variable], vals: list[float]) -> Table:
+    def table(line: tuple[int, str], what: str, dom: list[Variable], vals: list[float]) -> Table:
         try:
             return Table.from_flat(dom, vals)
         except (ValueError, MemoryError) as e:  # e.g. more axes than numpy's 64
-            raise line.error(f"{what} cannot be stored as a table: {e}", 1) from None
+            raise _error(line, f"{what} cannot be stored as a table: {e}", 1) from None
 
     for number, raw in enumerate(text.splitlines(), 1):
         body = raw.partition("#")[0]
         tokens = body.split()
         if not tokens:
             continue
-        line = _Line(number, body, tokens)
-        head = line.take("a directive")
-        if head in (CHANCE, DECISION):
-            name = claim(line, "variable name")
-            line.expect("states")
+        line = (number, body)
+        head = tokens[0]
+        if head == CHANCE or head == DECISION:
+            name = claim(line, tokens, "variable name", "states")
             stop = "stage" if head == CHANCE else "index"
-            labels = line.run(stop)
-            for i, label in enumerate(labels):
+            end = _find(tokens, stop, 3)
+            labels = tokens[3:end]
+            for i, label in enumerate(labels, 3):
                 if not _LABEL_RE.match(label):
-                    raise line.error(f"invalid state label {label!r}", 3 + i)
+                    raise _error(line, f"invalid state label {label!r}", i)
             if not labels:
-                raise line.error("at least one state label required")
-            line.expect(stop)
-            tok = line.take(stop)
+                raise _error(line, "at least one state label required", 3)
+            if end + 1 >= len(tokens):
+                what = repr(stop) if end == len(tokens) else stop
+                raise _error(line, f"expected {what} at end of line", len(tokens))
             try:
-                k = int(tok)
+                k = int(tokens[end + 1])
             except ValueError:
-                raise line.error(f"expected integer {stop}, found {tok!r}", line.pos - 1) from None
+                found = tokens[end + 1]
+                raise _error(line, f"expected integer {stop}, found {found!r}", end + 1) from None
             minimum = 0 if head == CHANCE else 1
             if k < minimum:
-                raise line.error(f"{stop} must be >= {minimum}, found {k}", line.pos - 1)
-            if line.pos < len(tokens):
-                raise line.error(f"unexpected token {tokens[line.pos]!r}")
+                raise _error(line, f"{stop} must be >= {minimum}, found {k}", end + 1)
+            if end + 2 < len(tokens):
+                raise _error(line, f"unexpected token {tokens[end + 2]!r}", end + 2)
             v = chance_var(name, labels, k) if head == CHANCE else decision_var(name, labels, k)
             declared[v] = line
             by_name[name] = v
         elif head == "cpt":
-            name = line.take("cpt target")
+            if len(tokens) < 2:
+                raise _error(line, "expected cpt target at end of line", 1)
+            name = tokens[1]
             target = by_name.get(name)
             if target is None:
-                raise line.error(f"undeclared variable {name!r}", 1)
+                raise _error(line, f"undeclared variable {name!r}", 1)
             if target.is_decision:
-                raise line.error(f"decision {name!r} cannot have a cpt", 1)
+                raise _error(line, f"decision {name!r} cannot have a cpt", 1)
             if name in cpt_lines:
-                raise line.error(f"duplicate cpt for {name!r}", 1)
-            given: list[Variable] = []
-            if tokens[2:3] == ["given"]:
-                line.pos = 3
-                given = resolve(line)
-            cpt_lines[name] = (line, given, values(line))
+                raise _error(line, f"duplicate cpt for {name!r}", 1)
+            given, at = resolve(line, tokens) if tokens[2:3] == ["given"] else ([], 2)
+            cpt_lines[name] = (line, given, values(line, tokens, at))
         elif head == "utility":
-            uname = claim(line, "utility name")
-            line.expect("over")
-            dom = resolve(line)
-            vals = values(line)
+            uname = claim(line, tokens, "utility name", "over")
+            dom, at = resolve(line, tokens)
+            vals = values(line, tokens, at)
             expected = math.prod(len(v.states) for v in dom)
             if len(vals) != expected:
-                raise line.error(f"utility {uname!r} needs {expected} values, found {len(vals)}", 1)
+                raise _error(line, f"utility {uname!r} needs {expected} values, found {len(vals)}", 1)
             if len(set(dom)) != len(dom):
-                raise line.error(f"utility {uname!r} repeats a variable", 1)
+                raise _error(line, f"utility {uname!r} repeats a variable", 1)
             utilities.append(Utility(uname, tuple(dom), table(line, f"utility {uname!r}", dom, vals)))
         else:
-            raise line.error(f"unknown directive {head!r}", 0)
+            raise _error(line, f"unknown directive {head!r}", 0)
 
     parents: dict[str, tuple[Variable, ...]] = {}
     cpts: dict[str, Table] = {}
@@ -432,14 +422,14 @@ def parse_model(text: str) -> InfluenceDiagram:
             continue
         entry = cpt_lines.get(v.name)
         if entry is None:
-            raise declaration.error(f"missing cpt for chance variable {v.name!r}", 1)
+            raise _error(declaration, f"missing cpt for chance variable {v.name!r}", 1)
         line, given, vals = entry
         dom = given + [v]
         if len(set(dom)) != len(dom):
-            raise line.error(f"cpt of {v.name!r} repeats a variable", 1)
+            raise _error(line, f"cpt of {v.name!r} repeats a variable", 1)
         expected = math.prod(len(w.states) for w in dom)
         if len(vals) != expected:
-            raise line.error(f"cpt of {v.name!r} needs {expected} values, found {len(vals)}", 1)
+            raise _error(line, f"cpt of {v.name!r} needs {expected} values, found {len(vals)}", 1)
         parents[v.name] = tuple(given)
         cpts[v.name] = table(line, f"cpt of {v.name!r}", dom, vals)
 

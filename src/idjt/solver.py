@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree, lowest_holders
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, marg_all, multiply
+from .tables import Table, add, marg_all, multiply, position
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -116,9 +116,8 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
 
 def _constancy_spread(phi: Table, decision: Variable) -> float:
     """Largest relative spread of phi across the decision's states; 0 if absent."""
-    if decision not in phi.domain:
+    if (axis := position(phi.domain, decision)) is None:
         return 0.0
-    axis = phi.domain.index(decision)
     hi = np.maximum.reduce(phi.values, axis=axis)
     lo = np.minimum.reduce(phi.values, axis=axis)
     if (lo < 0).any():

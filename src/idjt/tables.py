@@ -109,7 +109,7 @@ class Table:
         if len(set(domain)) != len(domain):
             raise ValueError("domain repeats a variable")
         shape = tuple(len(v.states) for v in domain)
-        vals = np.asarray(list(flat), dtype=np.float64).reshape(shape)
+        vals = np.array(flat, dtype=np.float64).reshape(shape)
         canon = _canonical(domain)
         if canon != domain:
             vals = vals.transpose([domain.index(v) for v in canon])
@@ -307,11 +307,19 @@ def divide(num: Table, den: Table) -> Table:
     return _fresh(union, out)
 
 
+def position(domain: Sequence["Variable"], v: "Variable") -> int | None:
+    """Index of v in ``domain``, or None; matching by ``is`` first, the dataclass
+    ``__eq__`` runs only when v itself is not a member."""
+    for i, w in enumerate(domain):
+        if w is v:
+            return i
+    return next((i for i, w in enumerate(domain) if w == v), None)
+
+
 def _axis_of(t: Table, v: "Variable") -> int:
-    try:
-        return t.domain.index(v)
-    except ValueError:
-        raise ValueError(f"variable {v.name!r} not in table domain") from None
+    if (axis := position(t.domain, v)) is None:
+        raise ValueError(f"variable {v.name!r} not in table domain")
+    return axis
 
 
 def _reduce(ufunc, t: Table, axis: int) -> Table:
@@ -358,9 +366,7 @@ def argmax_over(t: Table, decision: "Variable") -> Table:
 
 
 def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
-    try:
-        axis = t.domain.index(v)
-    except ValueError:
+    if (axis := position(t.domain, v)) is None:
         # As a function, a table is constant in variables outside its domain:
         # summing such a variable scales by its state count, maximizing is a no-op.
         return t if maximize else _fresh(t.domain, t.values * len(v.states))
@@ -399,7 +405,7 @@ def marg_all(
     rho = multiply(phi, psi)
     for v in order:
         if v.is_decision and on_decision is not None:
-            if v in rho.domain:
+            if position(rho.domain, v) is not None:
                 top, choice = max_and_argmax(rho, v)
             else:  # every state ties, so state 0 wins
                 top, choice = rho, _fresh(rho.domain, np.zeros_like(rho.values, dtype=np.int64))

@@ -1,6 +1,7 @@
 """Parsing, serialization round-trips, semantic validation, temporal order."""
 
 import dataclasses
+import math
 import random
 from collections import Counter
 
@@ -299,6 +300,94 @@ def test_chance_variable_without_parent_entry_violation():
     assert "'x'" in problems[0].message
 
 
+def _reference_cpt_violations(diagram):
+    """The four itemized checks of every cpt over its family, each run on every cpt."""
+    out = []
+    for v in diagram.chance_variables:
+        cpt = diagram.cpts[v.name]
+        if not np.all(np.isfinite(cpt.values)):
+            out.append(("cpt", f"cpt of {v.name!r} has non-finite entries"))
+            continue
+        if np.any(cpt.values < 0):
+            out.append(("cpt", f"cpt of {v.name!r} has negative entries"))
+        axis = cpt.domain.index(v)
+        sums = cpt.values.sum(axis=axis)
+        bad = np.abs(sums - 1.0) > 1e-9
+        if np.any(bad):
+            worst = float(np.asarray(sums)[bad].flat[0]) if sums.ndim else float(sums)
+            out.append(("normalization", f"cpt rows of {v.name!r} must sum to 1 (found {worst!r})"))
+    return out
+
+
+_CPT_MUTATIONS = ("nan", "+inf", "-inf", "negative", "off 2e-9", "off 0.5e-9", "overflow", "one state")
+
+
+def _mutate_cpt(model, rng, kind):
+    """model with one cpt row broken as ``kind`` says.
+
+    ``one state`` instead adds a sink ``z`` with one state, one random parent
+    and rows of 1.0, half the time with one row off by 0.5, 2e-9 or 0.5e-9.
+    """
+    cpts = dict(model.cpts)
+    if kind == "one state":
+        p = rng.choice(model.variables)
+        z = chance_var("z", ("only",), len(model.decisions))  # last stage: observed after every decision
+        vals = np.ones(len(p.states))
+        if rng.random() < 0.5:
+            vals[rng.randrange(len(vals))] += rng.choice([0.5, 2e-9, 0.5e-9])
+        cpts["z"] = Table.from_flat([p, z], vals)
+        parents = {**model.parents, "z": (p,)}
+        return InfluenceDiagram(model.variables + (z,), parents, cpts, model.utilities)
+    v = rng.choice(model.chance_variables)
+    cpt = cpts[v.name]
+    vals = np.array(cpt.values)
+    rows = np.moveaxis(vals, cpt.domain.index(v), -1)  # a view: writing it writes vals
+    row = tuple(rng.randrange(n) for n in rows.shape[:-1])
+    cell = row + (rng.randrange(rows.shape[-1]),)
+    if kind == "overflow":
+        rows[row] = [rng.uniform(0.9e308, 1.7e308) for _ in range(rows.shape[-1])]
+    else:
+        new = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "negative": -0.25,
+               "off 2e-9": rows[cell] + 2e-9, "off 0.5e-9": rows[cell] + 0.5e-9}[kind]
+        rows[cell] = new
+    cpts[v.name] = Table(cpt.domain, vals)
+    return InfluenceDiagram(model.variables, model.parents, cpts, model.utilities)
+
+
+def test_cpt_acceptance_matches_the_itemized_checks():
+    # validate accepts a cpt with one reduction and runs the itemized checks
+    # only when that fails; the violations must be those of the checks alone
+    rng = random.Random(15)
+    found = Counter()
+    for seed in range(320):
+        model = random_model(seed, structural_zeros=seed % 2 == 1)
+        for kind in _CPT_MUTATIONS:
+            mutant = _mutate_cpt(model, rng, kind)
+            states = [("states", "variable 'z' needs at least 2 states")] if kind == "one state" else []
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = states + _reference_cpt_violations(mutant)
+                assert validate(mutant) == want, (seed, kind)
+            found.update((kind, v[0]) for v in want)
+            found[kind, "accepted"] += want == states
+    for kind in ("nan", "+inf", "-inf", "negative"):
+        assert found[kind, "cpt"] == 320, found
+    for kind in ("off 2e-9", "overflow"):
+        assert found[kind, "normalization"] == 320, found
+    assert found["off 0.5e-9", "accepted"] == 320, found
+    assert found["one state", "normalization"] and found["one state", "accepted"], found
+
+
+def test_a_zero_state_variable_is_reported_without_raising():
+    z = chance_var("z", (), 0)
+    x = chance_var("x", ("a", "b"), 0)
+    cpts = {"z": Table((z,), np.zeros(0)), "x": Table((x, z), np.zeros((2, 0)))}
+    diagram = InfluenceDiagram((z, x), {"z": (), "x": (z,)}, cpts, ())
+    assert validate(diagram) == [
+        ("states", "variable 'z' needs at least 2 states"),
+        ("normalization", "cpt rows of 'z' must sum to 1 (found 0.0)"),
+    ]
+
+
 def test_validate_accepts_a_5000_variable_chain():
     # deeper than the recursion limit: x0 observed, then D1, then a hidden chain
     n = 5000
@@ -326,15 +415,14 @@ def _reference_order_violations(diagram):
     nx, graph = _arc_graph(diagram)
     if not nx.is_directed_acyclic_graph(graph):
         return [("cycle", "directed graph over the variables has a cycle")]
-    children = diagram.children()
     out = []
     for d in diagram.decisions:
-        seen, stack = set(), list(children[d])
+        seen, stack = set(), list(graph.successors(d))
         while stack:
             w = stack.pop()
             if w not in seen:
                 seen.add(w)
-                stack.extend(children[w])
+                stack.extend(graph.successors(w))
         for x in sorted((x for x in seen if x.rank < d.rank), key=lambda v: v.name):
             out.append(
                 (

@@ -2,15 +2,18 @@
 
 ``reference_parse`` below is the earlier parser, kept verbatim: it tokenized
 every line into (token, column) pairs and stepped through them one peek at a
-time.  The current parser splits each line once and computes a column only
-when it raises.  Each token of the golden model and of twenty random models
-is dropped, doubled and misspelt two ways; on every such text both must raise a
-``ParseError`` with the same message, line and column, or both must succeed
-with the same ``write_model`` output.  The reference reports a missing cpt
-at line 0, column 1, where the parser reports it at the variable's name in
-its declaration; the comparison moves the reference's error there.  The other
-deliberate difference (a variable may not reuse an earlier utility's name)
-cannot arise from these mutations, which keep every line in place.
+time.  The current parser splits each line once, reads each field by its
+position and computes a column only when it raises.  Each token of the golden
+model and of twenty random models is dropped, doubled and misspelt two ways,
+and each token of the golden model and of five random models is replaced by
+each grammar word that ends or opens a run of tokens.  On every such text both
+must raise a ``ParseError`` with the same message, line and column, or both
+must succeed with the same ``write_model`` output.  The reference reports a
+missing cpt at line 0, column 1, where the parser reports it at the
+variable's name in its declaration; the comparison moves the reference's
+error there.  The other deliberate difference (a variable may not reuse an
+earlier utility's name) cannot arise from these mutations, which keep every
+line in place.
 """
 
 import math
@@ -277,16 +280,41 @@ def _expected(text: str):
     return outcome
 
 
+def _texts(name: str, count: int) -> list[str]:
+    if name == "golden":
+        return [(MODELS / "golden.idm").read_text(encoding="utf-8")]
+    return [write_model(random_model(i)) for i in range(count)]
+
+
 @pytest.mark.parametrize("name", ["golden", "random"])
 def test_parser_matches_its_reference_on_single_token_mutations(name):
-    if name == "golden":
-        texts = [(MODELS / "golden.idm").read_text(encoding="utf-8")]
-    else:
-        texts = [write_model(random_model(i)) for i in range(20)]
     compared = 0
-    for text in texts:
+    for text in _texts(name, 20):
         assert _outcome(parse_model, text) == _expected(text)
         for mutant in _mutants(text):
+            assert _outcome(parse_model, mutant) == _expected(mutant), mutant
+            compared += 1
+    assert compared > 1000
+
+
+# the words that end a run of tokens or open one: a stop token too early, or
+# a ':' inside a ``given`` or ``over`` list, moves every later field
+_KEYWORD_SUBSTITUTES = (":", "given", "over", "states", "stage", "index")
+
+
+def _keyword_mutants(text: str):
+    """Each whitespace-separated token replaced by each of ``_KEYWORD_SUBSTITUTES``."""
+    for m in re.finditer(r"\S+", text):
+        for sub in _KEYWORD_SUBSTITUTES:
+            if sub != m.group(0):
+                yield text[: m.start()] + sub + text[m.end() :]
+
+
+@pytest.mark.parametrize("name", ["golden", "random"])
+def test_parser_matches_its_reference_with_a_token_replaced_by_a_keyword(name):
+    compared = 0
+    for text in _texts(name, 5):
+        for mutant in _keyword_mutants(text):
             assert _outcome(parse_model, mutant) == _expected(mutant), mutant
             compared += 1
     assert compared > 1000

@@ -52,7 +52,9 @@ def test_report_digest_is_the_same_under_two_hash_seeds():
         out = _run_script("report_digest.py", "--count", "20", env={"PYTHONHASHSEED": seed})
         assert out.returncode == 0, out.stderr
         lines.append(out.stdout)
-    assert lines[0].startswith("models: 22  sha256: ") and lines[0].count("\n") == 1
+    models, mutants = lines[0].splitlines()
+    assert models.startswith("models: 22  sha256: ") and lines[0].count("\n") == 2
+    assert mutants.startswith("mutants: 40  sha256: ")
     assert lines[0] == lines[1]
 
 

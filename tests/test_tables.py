@@ -29,7 +29,7 @@ from idjt import (
     solve,
     sum_out,
 )
-from idjt.tables import STREAM_CELLS, canonical_key, max_and_argmax
+from idjt.tables import STREAM_CELLS, canonical_key, max_and_argmax, position
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -659,3 +659,17 @@ def test_fast_paths_match_numpy_broadcast_bit_for_bit(counts):
                 assert (g.values.size >= STREAM_CELLS) == (len(counts) > 5), name
             with pytest.raises(UndefinedDivisionError):  # x/0 with x != 0
                 divide(_subtable(rng, a.domain, lambda v: True, VALUE_POOL[2:]), den)
+
+
+def test_axis_lookup_matches_an_equal_variable_that_is_another_object():
+    a, d = chance_var("a", ("0", "1"), 0), decision_var("D", ("u", "v", "w"), 1)
+    t = Table.from_flat([a, d], [0.1, 0.7, 0.3, 0.2, 0.6, 0.9])
+    a2, d2 = chance_var("a", ("0", "1"), 0), decision_var("D", ("u", "v", "w"), 1)
+    assert (a2, d2) == (a, d) and a2 is not a and d2 is not d
+    assert [position(t.domain, v) for v in (a, d, a2, d2)] == [0, 1, 0, 1]
+    assert position(t.domain, chance_var("a", ("0", "1", "2"), 0)) is None
+    assert sum_out(t, a2).equals(sum_out(t, a)) and max_out(t, d2).equals(max_out(t, d))
+    top, idx = max_and_argmax(t, d2)
+    assert top.values.tolist() == [0.7, 0.9] and idx.values.tolist() == [1, 2]
+    phi, psi = marg_all(t, Table.unit(), [a2])
+    assert phi.domain == (d,) and np.allclose(phi.values, [0.3, 1.3, 1.2])
