@@ -22,7 +22,9 @@ from . import compiler, oracle, solver
 from .model import ParseError, parse_model, validate
 
 CHECK_TOL = 1e-9
-M_MMAP_THRESHOLD = -3  # glibc's mallopt parameter number
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
+HEAP_SERVES = 64 << 20  # mmap threshold, above a 2^22-cell table's 32 MiB: the heap serves it
+HEAP_KEEPS = 256 << 20  # trim threshold, above the tables a solve holds at once
 
 
 @dataclass
@@ -54,23 +56,26 @@ def _policy_lines(result: solver.SolveResult) -> list[str]:
 
 
 @functools.cache
-def _fix_mmap_threshold() -> None:
-    """Give every allocation of 128 KiB or more its own mapping, where glibc's mallopt exists.
+def _fix_malloc_policy() -> None:
+    """Serve large tables from glibc's heap and keep freed heap mapped, where mallopt exists.
 
-    glibc otherwise raises this threshold to the size of each mapped block it
-    frees, up to 32 MiB, and then keeps freed mid-sized tables resident in
-    amounts that depend on the order of earlier frees: the peak RSS of the
-    same solves moved by 30 MiB from one process to the next.
+    A solve frees each clique's tables once its parent has absorbed them, and the next
+    are as large; in their own mappings, each is faulted in page by page and unmapped on
+    free.  Both values are fixed, as glibc otherwise moves them with the blocks it frees
+    and peak RSS moved by 30 MiB between processes.  If glibc rejects one, blocks of
+    128 KiB or more get their own mapping.  Repeated ``run``s keep up to HEAP_KEEPS mapped.
     """
     try:
-        ctypes.CDLL(None).mallopt(M_MMAP_THRESHOLD, 128 * 1024)  # glibc's default value
+        mallopt = ctypes.CDLL(None).mallopt
+        if not (mallopt(M_MMAP_THRESHOLD, HEAP_SERVES) and mallopt(M_TRIM_THRESHOLD, HEAP_KEEPS)):
+            mallopt(M_MMAP_THRESHOLD, 128 * 1024)
     except (AttributeError, OSError, TypeError):
         pass
 
 
 def run(config: RunConfig) -> tuple[int, str]:
     """Execute the pipeline; returns (exit code, report text)."""
-    _fix_mmap_threshold()
+    _fix_malloc_policy()
     out = io.StringIO()
 
     def emit(line: str = ""):

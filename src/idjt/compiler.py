@@ -295,13 +295,14 @@ class StrongJunctionTree:
 
     ``parent`` maps a clique index to its parent's index; separators are the
     clique-parent intersections.  The root is the lowest-index clique.  The
-    index and children lookups are built once, so ``parent`` must not change
-    after construction.
+    index, children and holder (``holder_bits``) lookups are built once, so
+    ``parent`` must not change after construction.
     """
 
     cliques: tuple[Clique, ...]
     parent: dict[int, int]
     root: int
+    holders: tuple | None = field(default=None, repr=False, compare=False)
     _by_index: dict[int, Clique] = field(init=False, repr=False, compare=False)
     _children: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
@@ -311,6 +312,7 @@ class StrongJunctionTree:
             children.setdefault(self.parent[k], []).append(k)
         object.__setattr__(self, "_by_index", {c.index: c for c in self.cliques})
         object.__setattr__(self, "_children", children)
+        object.__setattr__(self, "holders", self.holders or holder_bits(self.cliques))
 
     def clique(self, index: int) -> Clique:
         return self._by_index[index]
@@ -322,21 +324,26 @@ class StrongJunctionTree:
         return list(self._children.get(index, ()))
 
 
-def lowest_holders(
-    cliques: Iterable[Clique], queries: Sequence[tuple[frozenset[Variable], float]]
-) -> list[Clique | None]:
-    """For each (domain, bound) query, the lowest-index clique with an index
-    below the bound that holds the domain, or None.
-
-    Bit p of holding[v] is set when the p-th clique in index order holds v; a
-    query ANDs its domain's bitsets into the positions below the bound and
-    takes the lowest set bit, so an empty domain is held by the first clique.
-    """
-    by_index = sorted(cliques, key=lambda c: c.index)
-    indices, holding = [c.index for c in by_index], {}
+def holder_bits(cliques: Iterable[Clique]) -> tuple[list[Clique], list[int], dict[Variable, int]]:
+    """(by_index, indices, holding): the cliques in index order, their indices,
+    and per variable v a bitset whose bit p is set when by_index[p] holds v."""
+    by_index, holding = sorted(cliques, key=lambda c: c.index), {}
     for p, c in enumerate(by_index):
         for v in c.members:
             holding[v] = holding.get(v, 0) | 1 << p
+    return by_index, [c.index for c in by_index], holding
+
+
+def lowest_holders(
+    holders: tuple, queries: Sequence[tuple[frozenset[Variable], float]]
+) -> list[Clique | None]:
+    """For each (domain, bound) query, the lowest-index clique with an index
+    below the bound that holds the domain, or None; ``holders`` is ``holder_bits``.
+
+    A query ANDs its domain's bitsets into the positions below the bound and
+    takes the lowest set bit, so an empty domain is held by the first clique.
+    """
+    by_index, indices, holding = holders
     out: list[Clique | None] = []
     for domain, bound in queries:
         bits = (1 << bisect_left(indices, bound)) - 1
@@ -358,16 +365,17 @@ def _separator_queries(cliques: Iterable[Clique], root: int) -> list[tuple[froze
 
 def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
     """Attach each clique to the lowest-index earlier clique holding its separator."""
-    ordered = sorted(cliques, key=lambda c: c.index)
+    holders = holder_bits(cliques)
+    ordered = holders[0]
     if not ordered:
         raise CompileError("no cliques")
     queries = _separator_queries(ordered, ordered[0].index)
     parent: dict[int, int] = {}
-    for (_, index), holder in zip(queries, lowest_holders(ordered, queries)):
+    for (_, index), holder in zip(queries, lowest_holders(holders, queries)):
         if holder is None:
             raise CompileError(f"running intersection violated at clique {index}")
         parent[index] = holder.index
-    return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
+    return StrongJunctionTree(tuple(ordered), parent, ordered[0].index, holders)
 
 
 def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
@@ -405,7 +413,7 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
         out.append(Violation("junction", split))
 
     queries = _separator_queries(tree.cliques, tree.root)
-    for (_, index), holder in zip(queries, lowest_holders(tree.cliques, queries)):
+    for (_, index), holder in zip(queries, lowest_holders(tree.holders, queries)):
         if holder is None:
             why = f"separator of clique {index} fits no earlier clique"
             out.append(Violation("running-intersection", why))

@@ -100,7 +100,7 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     states = {c.index: CliqueState(unit, null) for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     domains = [f.domain if isinstance(f, Utility) else diagram.family(f) for f in factors]
-    hosts = lowest_holders(tree.cliques, [(frozenset(d), math.inf) for d in domains])
+    hosts = lowest_holders(tree.holders, [(frozenset(d), math.inf) for d in domains])
     for f, domain, host in zip(factors, domains, hosts):
         if host is None:
             what = "domain of utility" if isinstance(f, Utility) else "family of"

@@ -181,16 +181,18 @@ def _empty(domain: tuple["Variable", ...], fill=np.empty) -> np.ndarray:
     return fill([len(domain[i].states) for i in axes]).transpose(np.argsort(axes))
 
 
-def _embed(t: Table, union: tuple["Variable", ...]) -> np.ndarray | None:
+def _embed(t: Table, union: tuple["Variable", ...], eq: bool = False) -> np.ndarray | None:
     """View of t's values broadcastable over ``union``, or None if t's domain is not within it."""
     domain, shape, i = t.domain, [], 0
-    for v in union:  # both canonical: one walk finds t's axes, matching by ``is``, else ``==``
-        if i < len(domain) and (domain[i] is v or domain[i] == v):
+    for v in union:  # both canonical: one walk finds t's axes, matching by ``is`` (and ``==`` if eq)
+        if i < len(domain) and (domain[i] is v or eq and domain[i] == v):
             shape.append(len(v.states))
             i += 1
         else:
             shape.append(1)
-    return t.values.reshape(shape) if i == len(domain) else None
+    if i == len(domain):
+        return t.values.reshape(shape)
+    return None if eq else _embed(t, union, True)  # the dataclass ``__eq__`` runs only here
 
 
 def _operands(t1: Table, t2: Table) -> tuple[tuple["Variable", ...], np.ndarray, np.ndarray]:

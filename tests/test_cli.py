@@ -1,11 +1,14 @@
 """End-to-end CLI behavior: pipeline, report content, exit codes, determinism."""
 
+import functools
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from idjt import cli
 from idjt.cli import RunConfig, build_parser, config_from_args, run
 from idjt.model import write_model
 from idjt.randmodels import random_model
@@ -132,6 +135,50 @@ def test_memory_exhausted_in_compile_or_solve_exits_three(monkeypatch, error, li
     monkeypatch.setattr("idjt.compiler.compile_diagram", exhausted)
     code, report = run(_solve_args(MODELS / "tiny.idm"))
     assert (code, report) == (3, f"out of memory: {line}\n")
+
+
+class _Libc:
+    """Stands in for the C library: records each mallopt call and accepts or rejects it."""
+
+    def __init__(self, accept: bool):
+        self.accept, self.calls = accept, []
+
+    def mallopt(self, param: int, value: int) -> int:
+        self.calls.append((param, value))
+        return int(self.accept)
+
+
+@pytest.mark.parametrize(
+    "accept, calls",
+    [
+        (True, [(-3, 64 << 20), (-1, 256 << 20)]),  # glibc's M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+        (False, [(-3, 64 << 20), (-3, 128 << 10)]),  # a rejected value: glibc's default threshold
+    ],
+)
+def test_malloc_policy_sets_each_threshold_once(monkeypatch, accept, calls):
+    # the fake library stands in for the real one, so this process's malloc policy is untouched
+    libc = _Libc(accept)
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: libc))
+    cli._fix_malloc_policy.__wrapped__()
+    assert libc.calls == calls
+
+
+def _no_mallopt(name):
+    return SimpleNamespace()
+
+
+def _no_libc(name):
+    raise OSError("cannot load the C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_mallopt, _no_libc])
+def test_run_works_where_mallopt_is_missing(monkeypatch, cdll):
+    loads = []
+    monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: loads.append(name) or cdll(name)))
+    monkeypatch.setattr(cli, "_fix_malloc_policy", functools.cache(cli._fix_malloc_policy.__wrapped__))
+    code, report = run(_solve_args(MODELS / "tiny.idm"))
+    assert (code, loads) == (0, [None])
+    assert "MEU 6\n" in report
 
 
 def test_missing_file_exits_two(tmp_path):

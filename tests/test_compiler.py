@@ -580,7 +580,8 @@ def test_lowest_holders_tells_apart_variables_that_share_a_name():
                Clique(frozenset({three, y}), 3)]
     queries = [({three}, math.inf), ({two}, math.inf), ({three, y}, math.inf),
                ({two, y}, math.inf), ({three}, 2)]
-    holders = compiler.lowest_holders(cliques, [(frozenset(d), b) for d, b in queries])
+    holders = compiler.lowest_holders(compiler.holder_bits(cliques),
+                                       [(frozenset(d), b) for d, b in queries])
     assert [h.index if h else None for h in holders] == [2, 1, 3, 1, None]
 
 

@@ -673,3 +673,6 @@ def test_axis_lookup_matches_an_equal_variable_that_is_another_object():
     assert top.values.tolist() == [0.7, 0.9] and idx.values.tolist() == [1, 2]
     phi, psi = marg_all(t, Table.unit(), [a2])
     assert phi.domain == (d,) and np.allclose(phi.values, [0.3, 1.3, 1.2])
+    scale = Table.from_flat([a2], [2.0, 3.0])  # embedded by the ``==`` walk after the ``is`` walk
+    assert multiply(t, scale).equals(multiply(t, Table.from_flat([a], [2.0, 3.0])))
+    assert extend(scale, [a, d]).values.tolist() == [[2.0] * 3, [3.0] * 3]
