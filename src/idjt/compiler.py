@@ -9,23 +9,20 @@ rooted tree lets sum- and max-marginalizations interleave soundly during the
 collect pass: on every edge the separator temporally precedes the rest of the
 child clique.
 
-Ordering, triangulation and clique extraction number a graph's vertices
-0..n-1 once, in canonical (rank, name) order, and hold each neighbourhood
-N(v) as one ``int`` bitset, so no set operation calls ``Variable.__hash__``.
-The fill count of v is half the sum over a in N(v) of
-``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
-neighbour the bits of N(v) it lacked.
+From ``moralize`` on, a graph's vertices are 0..n-1 in canonical (rank, name)
+order and each neighbourhood N(v) is one ``int`` bitset, so no set operation
+calls ``Variable.__hash__``.  The fill count of v is half the sum over a in
+N(v) of ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into
+each neighbour the bits of N(v) it lacked.  The tree answers one query, the
+lowest-index clique holding a domain, from per-variable bitsets of indices.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations, groupby
+from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
@@ -53,22 +50,18 @@ def _members(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class MoralGraph:
-    """Undirected graph over all variables; adjacency is symmetric, no loops."""
+    """Undirected graph, no loops: ``adj[i]`` is N(i) as a bitset over the
+    indices of ``vertices``, which are in canonical (rank, name) order."""
 
     vertices: tuple[Variable, ...]
-    edges: frozenset[frozenset[Variable]]
+    adj: tuple[int, ...]
 
-    @cached_property
-    def _bits(self) -> tuple[tuple[Variable, ...], dict[Variable, int], tuple[int, ...]]:
-        """(vs, ids, adj): vertex i is vs[i], ids inverts vs, adj[i] is N(i) as a bitset."""
-        vs = tuple(sorted(self.vertices, key=canonical_key))
-        ids = {v: i for i, v in enumerate(vs)}
-        adj = [0] * len(vs)
-        for e in self.edges:
-            a, b = map(ids.__getitem__, e)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return vs, ids, tuple(adj)
+    @property
+    def edges(self) -> frozenset[frozenset[Variable]]:
+        """The edges as vertex pairs, for DOT output."""
+        vs = self.vertices
+        return frozenset(frozenset((vs[a], vs[b])) for a, n in enumerate(self.adj)
+                         for b in _members(n >> a << a))
 
 
 def moralize(diagram: InfluenceDiagram) -> MoralGraph:
@@ -77,13 +70,18 @@ def moralize(diagram: InfluenceDiagram) -> MoralGraph:
     Temporal (information) links into decisions are not part of the graph;
     only genuine arcs and the completions above contribute edges.
     """
+    vs = tuple(sorted(diagram.variables, key=canonical_key))
+    ids = {v: i for i, v in enumerate(vs)}
+    adj = [0] * len(vs)
     completed = [diagram.family(v) for v in diagram.chance_variables]  # arcs, married parents
     completed += [u.domain for u in diagram.utilities]
-    edges = {frozenset(e) for c in completed for e in combinations(c, 2)}
-    if any(len(e) == 1 for e in edges):
-        u = next(a for c in completed for a, b in combinations(c, 2) if a == b)
-        raise ValueError(f"self loop at {u.name!r}")
-    return MoralGraph(tuple(diagram.variables), frozenset(edges))
+    for c in completed:
+        bits = 0
+        for v in c:
+            bits |= 1 << ids[v]
+        for i in _members(bits):
+            adj[i] |= bits ^ 1 << i
+    return MoralGraph(vs, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,8 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
             raise OrderError("given sequence is not a permutation of the variables")
         return EliminationOrder(tuple(given))
 
-    vs, _, adj0 = graph._bits
-    adj, sizes = list(adj0), [len(v.states) for v in vs]
+    vs = graph.vertices
+    adj, sizes = list(graph.adj), [len(v.states) for v in vs]
     keys: list[tuple[int, int, str] | None] = [None] * len(vs)
 
     def push(heap: list, w: int) -> None:
@@ -201,12 +199,12 @@ def triangulate(graph: MoralGraph,
     """Simulate elimination, returning the filled graph and the fill-ins added.
 
     The fill-ins of each eliminated vertex are listed by their sorted names.
-    The filled graph keeps the ids and bitsets built here for ``cliques_of``.
     """
     if set(order.sequence) != set(graph.vertices):
         raise OrderError("order does not cover the graph's vertices")
-    vs, ids, adj0 = graph._bits
-    adj, filled = list(adj0), list(adj0)
+    vs = graph.vertices
+    ids = {v: i for i, v in enumerate(vs)}
+    adj, filled = list(graph.adj), list(graph.adj)
     fills: list[frozenset[Variable]] = []
     for v in order.sequence:
         added = []
@@ -214,9 +212,7 @@ def triangulate(graph: MoralGraph,
             filled[a] |= missing
             added += (frozenset((vs[a], vs[b])) for b in _members(missing >> a << a))
         fills += sorted(added, key=lambda e: sorted(w.name for w in e))
-    tri = MoralGraph(graph.vertices, graph.edges | frozenset(fills))
-    tri.__dict__["_bits"] = vs, ids, tuple(filled)  # what ``_bits`` would rebuild
-    return tri, fills
+    return MoralGraph(vs, tuple(filled)), fills
 
 
 @dataclass(frozen=True)
@@ -254,7 +250,8 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
     at the clique's index alpha(y), at 1 for the root clique.  The heir chains
     are disjoint, so the indices are distinct and the walks take linear time.
     """
-    vs, ids, adj = graph._bits
+    vs, adj = graph.vertices, graph.adj
+    ids = {v: i for i, v in enumerate(vs)}
     seq = [ids[v] for v in order.sequence]
     if len(seq) != len(vs):
         raise OrderError("order does not cover the graph's vertices")
@@ -291,28 +288,35 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
 
 @dataclass(frozen=True)
 class StrongJunctionTree:
-    """Cliques ordered by index, each non-root linked to a parent clique.
+    """Cliques with their indices, each non-root linked to a parent clique.
 
     ``parent`` maps a clique index to its parent's index; separators are the
-    clique-parent intersections.  The root is the lowest-index clique.  The
-    index, children and holder (``holder_bits``) lookups are built once, so
-    ``parent`` must not change after construction.
+    clique-parent intersections.  The index, children and holder lookups are
+    built once, so ``parent`` must not change after construction.  Bit k of
+    ``_holding[v]`` is set when the clique with index k holds v, and bit k of
+    ``_every`` when there is a clique with index k.
     """
 
     cliques: tuple[Clique, ...]
     parent: dict[int, int]
     root: int
-    holders: tuple | None = field(default=None, repr=False, compare=False)
     _by_index: dict[int, Clique] = field(init=False, repr=False, compare=False)
     _children: dict[int, list[int]] = field(init=False, repr=False, compare=False)
+    _holding: dict[Variable, int] = field(init=False, repr=False, compare=False)
+    _every: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         children: dict[int, list[int]] = {}
         for k in sorted(self.parent):
             children.setdefault(self.parent[k], []).append(k)
+        holding: dict[Variable, int] = {}
+        for c in self.cliques:
+            for v in c.members:
+                holding[v] = holding.get(v, 0) | 1 << c.index
         object.__setattr__(self, "_by_index", {c.index: c for c in self.cliques})
         object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "holders", self.holders or holder_bits(self.cliques))
+        object.__setattr__(self, "_holding", holding)
+        object.__setattr__(self, "_every", sum(1 << k for k in self._by_index))
 
     def clique(self, index: int) -> Clique:
         return self._by_index[index]
@@ -323,59 +327,38 @@ class StrongJunctionTree:
     def children(self, index: int) -> list[int]:
         return list(self._children.get(index, ()))
 
-
-def holder_bits(cliques: Iterable[Clique]) -> tuple[list[Clique], list[int], dict[Variable, int]]:
-    """(by_index, indices, holding): the cliques in index order, their indices,
-    and per variable v a bitset whose bit p is set when by_index[p] holds v."""
-    by_index, holding = sorted(cliques, key=lambda c: c.index), {}
-    for p, c in enumerate(by_index):
-        for v in c.members:
-            holding[v] = holding.get(v, 0) | 1 << p
-    return by_index, [c.index for c in by_index], holding
-
-
-def lowest_holders(
-    holders: tuple, queries: Sequence[tuple[frozenset[Variable], float]]
-) -> list[Clique | None]:
-    """For each (domain, bound) query, the lowest-index clique with an index
-    below the bound that holds the domain, or None; ``holders`` is ``holder_bits``.
-
-    A query ANDs its domain's bitsets into the positions below the bound and
-    takes the lowest set bit, so an empty domain is held by the first clique.
-    """
-    by_index, indices, holding = holders
-    out: list[Clique | None] = []
-    for domain, bound in queries:
-        bits = (1 << bisect_left(indices, bound)) - 1
+    def lowest_holder(self, domain: Iterable[Variable], below: int | None = None) -> Clique | None:
+        """The lowest-index clique holding all of domain (an empty domain fits
+        any), only among indices under ``below`` if given; None if none fits."""
+        bits = self._every if below is None else self._every & (1 << below) - 1
         for v in domain:
-            bits &= holding.get(v, 0)
-        out.append(by_index[(bits & -bits).bit_length() - 1] if bits else None)
-    return out
-
-
-def _separator_queries(cliques: Iterable[Clique], root: int) -> list[tuple[frozenset[Variable], int]]:
-    """(members shared with the cliques listed before it, index) of each non-root clique."""
-    queries, earlier = [], set()
-    for c in cliques:
-        if c.index != root:
-            queries.append((c.members & earlier, c.index))
-        earlier |= c.members
-    return queries
+            bits &= self._holding.get(v, 0)
+        return self._by_index[(bits & -bits).bit_length() - 1] if bits else None
 
 
 def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
-    """Attach each clique to the lowest-index earlier clique holding its separator."""
-    holders = holder_bits(cliques)
-    ordered = holders[0]
+    """Attach each clique to the lowest-index earlier clique holding its separator.
+
+    One pass over the cliques in index order: every clique already seen has
+    a lower index, so the bitsets of the seen cliques holding each variable
+    need no bound, and a member no seen clique holds is not in the separator.
+    """
+    ordered = sorted(cliques, key=lambda c: c.index)
     if not ordered:
         raise CompileError("no cliques")
-    queries = _separator_queries(ordered, ordered[0].index)
-    parent: dict[int, int] = {}
-    for (_, index), holder in zip(queries, lowest_holders(holders, queries)):
-        if holder is None:
-            raise CompileError(f"running intersection violated at clique {index}")
-        parent[index] = holder.index
-    return StrongJunctionTree(tuple(ordered), parent, ordered[0].index, holders)
+    seen, holding, parent = 0, {}, {}
+    for c in ordered:
+        if seen:
+            bits = seen
+            for v in c.members:
+                bits &= holding.get(v, seen)
+            if not bits:
+                raise CompileError(f"running intersection violated at clique {c.index}")
+            parent[c.index] = (bits & -bits).bit_length() - 1
+        seen |= 1 << c.index
+        for v in c.members:
+            holding[v] = holding.get(v, 0) | 1 << c.index
+    return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
 
 
 def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
@@ -388,7 +371,8 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
     An edge (parent C1, child C2) with separator S is strongly ordered when
     every separator member temporally precedes-or-ties every member of C2\\S;
     that is exactly the condition letting the child be eliminated before the
-    separator during collect.
+    separator during collect.  Violations are listed edge by edge, then by
+    separator member name, then by child member name.
     """
     indices = [c.index for c in tree.cliques]
     if tree.root not in indices:
@@ -405,28 +389,28 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
         return [Violation("tree", f"{len(tree.parent)} parent links for {len(indices)} cliques")]
 
     out: list[Violation] = []
-    pieces = Counter(v for c in tree.cliques for v in c.members)
+    pieces = {v: bits.bit_count() for v, bits in tree._holding.items()}
     for child in tree.parent:
-        pieces.subtract(tree.separator(child))
+        for v in tree.separator(child):
+            pieces[v] -= 1
     for v in sorted((v for v, n in pieces.items() if n != 1), key=lambda v: v.name):
         split = f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts"
         out.append(Violation("junction", split))
 
-    queries = _separator_queries(tree.cliques, tree.root)
-    for (_, index), holder in zip(queries, lowest_holders(tree.holders, queries)):
-        if holder is None:
-            why = f"separator of clique {index} fits no earlier clique"
+    earlier: set[Variable] = set()
+    for c in tree.cliques:
+        if c.index != tree.root and tree.lowest_holder(c.members & earlier, c.index) is None:
+            why = f"separator of clique {c.index} fits no earlier clique"
             out.append(Violation("running-intersection", why))
+        earlier |= c.members
 
     for child, par in tree.parent.items():
         sep = tree.separator(child)
         rest = tree.clique(child).members - sep
-        for s in sep:
-            for w in rest:
-                if s.rank > w.rank:
-                    why = (f"edge {par}->{child}: separator member {s.name!r} comes after "
-                           f"{w.name!r}; no ordering of the child respects precedence")
-                    out.append(Violation("strong-root", why))
+        for s, w in sorted((s.name, w.name) for s in sep for w in rest if s.rank > w.rank):
+            why = (f"edge {par}->{child}: separator member {s!r} comes after "
+                   f"{w!r}; no ordering of the child respects precedence")
+            out.append(Violation("strong-root", why))
     return out
 
 

@@ -223,6 +223,11 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             bound += float(np.max(np.abs(u.table.values), initial=0.0))
     if not math.isfinite(bound):
         out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
+    declared = set(diagram.variables)
+    used = [*(p for v in chance for p in diagram.parents.get(v.name, ())),
+            *(x for u in diagram.utilities for x in u.domain)]
+    for x in dict.fromkeys(x for x in used if x not in declared):  # first use first
+        out.append(Violation("undeclared", f"variable {x.name!r} is used but not declared"))
 
     # Kahn's sweep over chance arcs plus decision->child arcs, on positions:
     # nodes[i] is the i-th distinct variable (an undeclared parent included),

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compiler import StrongJunctionTree, lowest_holders
+from .compiler import StrongJunctionTree
 from .model import InfluenceDiagram, Utility, Variable
 from .tables import Table, add, marg_all, multiply, position
 
@@ -100,8 +100,8 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     states = {c.index: CliqueState(unit, null) for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     domains = [f.domain if isinstance(f, Utility) else diagram.family(f) for f in factors]
-    hosts = lowest_holders(tree.holders, [(frozenset(d), math.inf) for d in domains])
-    for f, domain, host in zip(factors, domains, hosts):
+    for f, domain in zip(factors, domains):
+        host = tree.lowest_holder(domain)
         if host is None:
             what = "domain of utility" if isinstance(f, Utility) else "family of"
             names = sorted(v.name for v in domain)

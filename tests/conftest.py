@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from idjt import MoralGraph, chance_var, decision_var, parse_model
+from idjt.tables import canonical_key
 
 MODELS = Path(__file__).parents[1] / "models"
 
@@ -71,6 +72,18 @@ def golden_variables():
     return out
 
 
+def graph_of(vertices, edges):
+    """The MoralGraph over the variables with the given edges (variable pairs)."""
+    vs = tuple(sorted(vertices, key=canonical_key))
+    ids = {v: i for i, v in enumerate(vs)}
+    adj = [0] * len(vs)
+    for e in edges:
+        a, b = (ids[v] for v in e)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return MoralGraph(vs, tuple(adj))
+
+
 def golden_moral_graph():
     vs = golden_variables()
     union = set()
@@ -78,7 +91,7 @@ def golden_moral_graph():
         for a, b in combinations(sorted(members), 2):
             union.add(frozenset((vs[a], vs[b])))
     fills = {frozenset(vs[n] for n in e) for e in GOLDEN_FILLS}
-    return MoralGraph(tuple(vs.values()), frozenset(union - fills)), vs
+    return graph_of(vs.values(), union - fills), vs
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from idjt import (
     CompileError,
     EliminationOrder,
-    MoralGraph,
     OrderError,
     StrongJunctionTree,
     build_strong_tree,
@@ -33,6 +36,7 @@ from conftest import (
     GOLDEN_PARENT_LINKS,
     GOLDEN_SEQUENCE,
     edge_names,
+    graph_of,
 )
 
 
@@ -142,7 +146,7 @@ def test_min_fill_picks_the_simplicial_vertex_first():
     edges = frozenset(
         frozenset(e) for e in [(p, q), (q, r), (r, w), (w, p), (s, p)]
     )
-    graph = MoralGraph((s, p, q, r, w), edges)
+    graph = graph_of((s, p, q, r, w), edges)
 
     adj = _adjacency(graph)
 
@@ -221,7 +225,7 @@ def _grid(k, cardinality):
         for di, dj in ((0, 1), (1, 0))
         if (i + di, j + dj) in cells
     )
-    return MoralGraph(tuple(cells.values()), edges)
+    return graph_of(tuple(cells.values()), edges)
 
 
 def _order_cases(golden_model):
@@ -245,7 +249,7 @@ def test_order_scores_each_vertex_a_bounded_number_of_times(monkeypatch):
     # remaining vertex on each pick, about n^2 / 2 fill counts
     n = 2000
     xs = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(n)]
-    graph = MoralGraph(tuple(xs), frozenset(frozenset(p) for p in zip(xs, xs[1:])))
+    graph = graph_of(tuple(xs), frozenset(frozenset(p) for p in zip(xs, xs[1:])))
     calls = 0
     score = compiler._score
 
@@ -280,7 +284,24 @@ def _reference_triangulate(graph, order):
         for n in adj.pop(v):
             adj[n].discard(v)
         fills.extend(sorted(added, key=lambda e: sorted(w.name for w in e)))
-    return MoralGraph(graph.vertices, graph.edges | frozenset(fills)), fills
+    return graph_of(graph.vertices, graph.edges | frozenset(fills)), fills
+
+
+def _reference_moralize(diagram):
+    """The set-based moral edges: every family and utility domain completed pair by pair."""
+    completed = [diagram.family(v) for v in diagram.chance_variables]
+    completed += [u.domain for u in diagram.utilities]
+    return {frozenset(e) for c in completed for e in itertools.combinations(c, 2)}
+
+
+def test_moralize_matches_the_reference(golden_model):
+    models = [random_model(i, structural_zeros=i % 2 == 1) for i in range(200)]
+    for model in [*models, golden_model]:
+        graph = moralize(model)
+        assert graph.edges == _reference_moralize(model)
+        assert set(graph.vertices) == set(model.variables)
+    for graph in _order_cases(golden_model):  # the same models, then the two grids
+        assert graph_of(graph.vertices, graph.edges) == graph
 
 
 def _assert_triangulates_like_the_reference(graph, order):
@@ -309,13 +330,12 @@ def test_fills_match_the_reference_under_arbitrary_orders():
         edges = frozenset(
             frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
         )
-        graph = MoralGraph(tuple(vs), edges)
+        graph = graph_of(tuple(vs), edges)
         order = EliminationOrder(tuple(rng.sample(vs, n)))
         tri = _assert_triangulates_like_the_reference(graph, order)
         filled += tri != graph
-        # the filled graph's own ids and bitsets give the cliques a rebuilt graph gives
-        rebuilt = MoralGraph(tri.vertices, tri.edges)
-        assert _pairs(cliques_of(tri, order)) == _pairs(cliques_of(rebuilt, order))
+        # the filled bitsets are the graph its edges rebuild
+        assert graph_of(tri.vertices, tri.edges) == tri
     assert filled > 0
 
 
@@ -330,7 +350,7 @@ def test_already_triangulated_graph_has_zero_fills():
     a = chance_var("a", ("0", "1"), 0)
     b = chance_var("b", ("0", "1"), 0)
     c = chance_var("c", ("0", "1"), 0)
-    graph = MoralGraph((a, b, c), frozenset({frozenset((a, b)), frozenset((b, c))}))
+    graph = graph_of((a, b, c), frozenset({frozenset((a, b)), frozenset((b, c))}))
     order = EliminationOrder((a, c, b))
     _, fills = triangulate(graph, order)
     assert fills == []
@@ -361,7 +381,7 @@ def test_complete_graph_is_one_clique_with_index_one():
     b = chance_var("b", ("0", "1"), 0)
     c = chance_var("c", ("0", "1"), 0)
     edges = frozenset(frozenset(p) for p in itertools.combinations((a, b, c), 2))
-    graph = MoralGraph((a, b, c), edges)
+    graph = graph_of((a, b, c), edges)
     cliques = cliques_of(graph, EliminationOrder((a, b, c)))
     assert len(cliques) == 1
     assert cliques[0].index == 1
@@ -421,7 +441,7 @@ def test_cliques_of_rejects_non_perfect_order():
     edges = frozenset(
         {frozenset((a, b)), frozenset((b, c)), frozenset((c, d)), frozenset((d, a))}
     )
-    graph = MoralGraph((a, b, c, d), edges)
+    graph = graph_of((a, b, c, d), edges)
     with pytest.raises(CompileError, match="perfectly eliminate"):
         cliques_of(graph, EliminationOrder((a, b, c, d)))
 
@@ -429,7 +449,7 @@ def test_cliques_of_rejects_non_perfect_order():
 def test_cliques_of_rejects_an_order_that_misses_a_vertex():
     a = chance_var("a", ("0", "1"), 0)
     b = chance_var("b", ("0", "1"), 0)
-    graph = MoralGraph((a, b), frozenset({frozenset((a, b))}))
+    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
     with pytest.raises(OrderError, match="does not cover"):
         cliques_of(graph, EliminationOrder((a,)))
 
@@ -514,7 +534,7 @@ def test_cliques_match_the_reference_under_arbitrary_orders():
         edges = frozenset(
             frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
         )
-        graph = MoralGraph(tuple(vs), edges)
+        graph = graph_of(tuple(vs), edges)
         order = EliminationOrder(tuple(rng.sample(vs, n)))
         tri, _ = triangulate(graph, order)
         expected = _reference_cliques_of(tri, order)
@@ -537,7 +557,7 @@ def test_star_indices_follow_the_leaves():
     n = 6001
     hub = chance_var("hub", ("0", "1"), 0)
     leaves = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(1, n)]
-    graph = MoralGraph((*leaves, hub), frozenset(frozenset((x, hub)) for x in leaves))
+    graph = graph_of((*leaves, hub), frozenset(frozenset((x, hub)) for x in leaves))
     cliques = cliques_of(graph, EliminationOrder((*leaves, hub)))
     got = {c.index: c.members for c in cliques}
     assert len(got) == n - 1
@@ -576,12 +596,11 @@ def test_lowest_holders_tells_apart_variables_that_share_a_name():
     two = chance_var("x", ("0", "1"), 0)
     three = chance_var("x", ("0", "1", "2"), 0)
     y = chance_var("y", ("0", "1"), 0)
-    cliques = [Clique(frozenset({two, y}), 1), Clique(frozenset({three}), 2),
-               Clique(frozenset({three, y}), 3)]
-    queries = [({three}, math.inf), ({two}, math.inf), ({three, y}, math.inf),
-               ({two, y}, math.inf), ({three}, 2)]
-    holders = compiler.lowest_holders(compiler.holder_bits(cliques),
-                                       [(frozenset(d), b) for d, b in queries])
+    cliques = (Clique(frozenset({two, y}), 1), Clique(frozenset({three}), 2),
+               Clique(frozenset({three, y}), 3))
+    tree = StrongJunctionTree(cliques, {2: 1, 3: 2}, 1)
+    queries = [({three}, None), ({two}, None), ({three, y}, None), ({two, y}, None), ({three}, 2)]
+    holders = [tree.lowest_holder(d, below) for d, below in queries]
     assert [h.index if h else None for h in holders] == [2, 1, 3, 1, None]
 
 
@@ -671,27 +690,50 @@ def test_junction_property_violation_on_rewired_edge(golden):
     assert any("D2" in p.message for p in junction)
 
 
-def test_strong_root_violations_after_rerooting(golden):
-    tree, _ = _golden_tree(golden)
-    # same undirected edges, reoriented away from clique 16
-    undirected = [(child, parent) for child, parent in tree.parent.items()]
+def _rerooted(tree, root):
+    """The same undirected edges, reoriented away from clique ``root``."""
     adj = {}
-    for x, y in undirected:
-        adj.setdefault(x, set()).add(y)
-        adj.setdefault(y, set()).add(x)
+    for x, y in tree.parent.items():
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
     new_parent = {}
-    seen = {16}
-    frontier = [16]
+    seen = {root}
+    frontier = [root]
     while frontier:
         cur = frontier.pop()
-        for nb in adj[cur]:
+        for nb in sorted(adj[cur]):
             if nb not in seen:
                 seen.add(nb)
                 new_parent[nb] = cur
                 frontier.append(nb)
-    rerooted = StrongJunctionTree(tree.cliques, new_parent, 16)
-    problems = verify_strong(rerooted)
+    return StrongJunctionTree(tree.cliques, new_parent, root)
+
+
+def test_strong_root_violations_after_rerooting(golden):
+    tree, _ = _golden_tree(golden)
+    problems = verify_strong(_rerooted(tree, 16))
     assert any(p.kind == "strong-root" for p in problems)
+
+
+def test_strong_root_messages_do_not_depend_on_the_hash_seed():
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from conftest import golden_moral_graph\n"
+        "from test_compiler import _golden_tree, _rerooted, verify_strong\n"
+        "tree, _ = _golden_tree(golden_moral_graph())\n"
+        "print(*verify_strong(_rerooted(tree, 16)), sep='\\n')\n"
+    )
+    here = Path(__file__).parent
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code, str(here), str(here.parent / "src")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert outs[0] == outs[1]
+    assert outs[0].count("strong-root:") > 1
 
 
 def test_compiled_random_models_pass_all_structure_checks():

@@ -292,6 +292,37 @@ def test_non_finite_cpt_entries_violation():
     assert "non-finite" in problems[0].message
 
 
+def _with_undeclared(where):
+    """build_valid with an undeclared g as a parent of a, or in a second utility."""
+    base = build_valid()
+    a, _, x = base.variables
+    g = chance_var("g", ("g0", "g1"), 0)
+    parents, cpts, utilities = dict(base.parents), dict(base.cpts), base.utilities
+    if where == "parent":
+        parents["a"] = (g,)
+        cpts["a"] = Table.from_flat([g, a], [0.5, 0.5, 0.5, 0.5])
+    else:
+        utilities += (Utility("u1", (g, x), Table.from_flat([g, x], [1.0, 2.0, 3.0, 4.0])),)
+    return InfluenceDiagram(base.variables, parents, cpts, utilities)
+
+
+@pytest.mark.parametrize("where", ["parent", "utility"])
+def test_undeclared_variable_violation(where):
+    assert validate(_with_undeclared(where)) == [("undeclared", "variable 'g' is used but not declared")]
+
+
+def test_undeclared_variables_reported_once_each_by_first_use():
+    base = _with_undeclared("parent")
+    a, _, x = base.variables
+    h = chance_var("h", ("h0", "h1"), 0)
+    g = base.parents["a"][0]
+    extra = tuple(Utility(f"u{k}", dom, Table.from_flat(list(dom), [1.0] * 2 ** len(dom)))
+                  for k, dom in enumerate([(h, x), (g, h)], start=1))
+    diagram = InfluenceDiagram(base.variables, base.parents, base.cpts, base.utilities + extra)
+    assert [p.message for p in validate(diagram)] == [
+        "variable 'g' is used but not declared", "variable 'h' is used but not declared"]
+
+
 def test_chance_variable_without_parent_entry_violation():
     base = build_valid()
     missing = InfluenceDiagram(base.variables, {"a": ()}, base.cpts, base.utilities)
