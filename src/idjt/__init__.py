@@ -30,7 +30,6 @@ from .model import (
     Violation,
     chance_var,
     decision_var,
-    diagrams_equal,
     parse_model,
     validate,
     write_model,

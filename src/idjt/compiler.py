@@ -105,11 +105,6 @@ class EliminationOrder:
                     f"before {b.name!r}"
                 )
 
-    @property
-    def alpha(self) -> dict[Variable, int]:
-        n = len(self.sequence)
-        return {v: n - i for i, v in enumerate(self.sequence)}
-
 
 def _eliminate(adj: list[int], v: int) -> list[tuple[int, int]]:
     """Complete N(v) and remove v; returns (a, N(v) \\ N(a) \\ {a}) where that is not empty."""

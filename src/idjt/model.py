@@ -114,12 +114,6 @@ class InfluenceDiagram:
     cpts: Mapping[str, Table]  # chance name -> table over (parents, child)
     utilities: tuple[Utility, ...]
 
-    def var(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     @property
     def chance_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if not v.is_decision)
@@ -217,7 +211,9 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if u.name in seen_names:
             out.append(Violation("name", f"duplicate utility name {u.name!r}"))
         seen_names.add(u.name)
-        if not np.all(np.isfinite(u.table.values)):
+        if set(u.table.domain) != set(u.domain):
+            out.append(Violation("utility", f"table of utility {u.name!r} is not over its domain"))
+        elif not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
         else:
             bound += float(np.max(np.abs(u.table.values), initial=0.0))
@@ -230,10 +226,11 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         out.append(Violation("undeclared", f"variable {x.name!r} is used but not declared"))
 
     # Kahn's sweep over chance arcs plus decision->child arcs, on positions:
-    # nodes[i] is the i-th distinct variable (an undeclared parent included),
-    # kids[i] its chance children.  Bit k of reach[i] is set when decisions[k]
-    # is nodes[i] or has a path to it, so one pass over the arcs finds every
-    # decision that influences a variable.
+    # nodes[i] is the i-th distinct declared variable, kids[i] its chance
+    # children.  An undeclared parent (reported above) has no parents and no
+    # decision bit, so its arcs are skipped.  Bit k of reach[i] is set when
+    # decisions[k] is nodes[i] or has a path to it, so one pass over the arcs
+    # finds every decision that influences a variable.
     number: dict[Variable, int] = {}
     for v in diagram.variables:
         number.setdefault(v, len(number))
@@ -242,12 +239,9 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     for c in chance:
         i = number[c]
         for p in diagram.parents.get(c.name, ()):
-            j = number.setdefault(p, len(number))
-            if j == len(kids):
-                kids.append([])
-                indegree.append(0)
-            kids[j].append(i)
-            indegree[i] += 1
+            if (j := number.get(p)) is not None:
+                kids[j].append(i)
+                indegree[i] += 1
     nodes, reach = list(number), [0] * len(number)
     for k, d in enumerate(decisions):
         reach[number[d]] |= 1 << k
@@ -466,21 +460,3 @@ def write_model(diagram: InfluenceDiagram) -> str:
         flat = u.table.to_flat(u.domain)
         out.append(f"utility {u.name} over {names} : {' '.join(_fmt(x) for x in flat)}")
     return "\n".join(out) + "\n"
-
-
-def diagrams_equal(a: InfluenceDiagram, b: InfluenceDiagram) -> bool:
-    """Structural equality: same variables, arcs, and tables."""
-    if a.variables != b.variables:
-        return False
-    if dict(a.parents) != dict(b.parents):
-        return False
-    if set(a.cpts) != set(b.cpts):
-        return False
-    if any(not a.cpts[k].equals(b.cpts[k]) for k in a.cpts):
-        return False
-    if len(a.utilities) != len(b.utilities):
-        return False
-    return all(
-        ua.name == ub.name and ua.domain == ub.domain and ua.table.equals(ub.table)
-        for ua, ub in zip(a.utilities, b.utilities)
-    )

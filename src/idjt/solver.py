@@ -85,10 +85,6 @@ class SolveRun:
     root_scalar: tuple[float, float] | None = None
     constancy_worst: float = 0.0  # largest constancy spread seen at any max step
 
-    @property
-    def retired(self) -> set[int]:
-        return {c.index for c in self.tree.cliques if c.index not in self.states}
-
 
 def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     """Assign each CPT and utility to the lowest-index clique covering it.
@@ -225,20 +221,3 @@ def solve(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveResult:
     """Initialize, collect, and extract in one go."""
     run = collect(initialize(tree, diagram))
     return extract_policies(run)
-
-
-def global_pair(run: SolveRun, live_only: bool = True) -> tuple[Table, Table]:
-    """Product of live probability potentials and sum of live utility potentials.
-
-    With ``live_only`` false the caller wants the model's original joint and
-    utility, which only a run that has absorbed nothing still holds; once any
-    clique is absorbed its potentials are gone and this raises.
-    """
-    if not live_only and run.retired:
-        raise InvariantError("the original joint and utility are gone after an absorb")
-    phi = Table.unit()
-    psi = Table.null()
-    for st in run.states.values():
-        phi = multiply(phi, st.phi)
-        psi = add(psi, st.psi)
-    return phi, psi

@@ -212,7 +212,10 @@ def _operands(t1: Table, t2: Table) -> tuple[tuple["Variable", ...], np.ndarray,
 
 
 def extend(t: Table, target: Iterable["Variable"]) -> Table:
-    """Extend t to a superset domain; values ignore the extra variables."""
+    """Extend t to a superset domain; values ignore the extra variables.
+
+    Kept for the tests and ``perfbench/tracing.py``, which wraps it by name.
+    """
     target = _canonical(set(target))
     missing = set(t.domain) - set(target)
     if missing:
@@ -329,10 +332,12 @@ def _reduce(ufunc, t: Table, axis: int) -> Table:
 
 
 def sum_out(t: Table, v: "Variable") -> Table:
+    """Sum t over v; kept for the tests and ``perfbench/tracing.py``, which wraps it by name."""
     return _reduce(np.add, t, _axis_of(t, v))
 
 
 def max_out(t: Table, v: "Variable") -> Table:
+    """Max of t over v; kept for the tests and ``perfbench/tracing.py``, which wraps it by name."""
     return _reduce(np.maximum, t, _axis_of(t, v))
 
 

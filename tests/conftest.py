@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from idjt import MoralGraph, chance_var, decision_var, parse_model
+from idjt import MoralGraph, Table, add, chance_var, decision_var, multiply, parse_model
 from idjt.tables import canonical_key
 
 MODELS = Path(__file__).parents[1] / "models"
@@ -116,3 +116,25 @@ def names(variables):
 
 def edge_names(edges):
     return {tuple(sorted(v.name for v in e)) for e in edges}
+
+
+def var(model, name):
+    """The variable of the diagram with the given name."""
+    return next(v for v in model.variables if v.name == name)
+
+
+def alpha(order):
+    """The number of each variable in an elimination order: the i-th eliminated gets |U|-i+1."""
+    n = len(order.sequence)
+    return {v: n - i for i, v in enumerate(order.sequence)}
+
+
+def global_pair(run):
+    """Product of the live cliques' probability potentials and sum of their utility potentials.
+
+    Before any absorb this is the model's joint and total utility.
+    """
+    phi, psi = Table.unit(), Table.null()
+    for st in run.states.values():
+        phi, psi = multiply(phi, st.phi), add(psi, st.psi)
+    return phi, psi

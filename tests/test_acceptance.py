@@ -33,7 +33,7 @@ from idjt import (
     triangulate,
     verify_strong,
 )
-from idjt.solver import absorb, collect, extract_policies, global_pair
+from idjt.solver import absorb, collect, extract_policies
 from idjt.randmodels import random_model
 
 from conftest import (
@@ -43,7 +43,9 @@ from conftest import (
     GOLDEN_POLICY_CLIQUES,
     GOLDEN_SEQUENCE,
     MODELS,
+    global_pair,
     golden_moral_graph,
+    var,
 )
 
 REL_TOL = 1e-9
@@ -109,7 +111,7 @@ def test_criterion_1_golden_compilation():
     same_graph = {frozenset(v.name for v in e) for e in moralize(model).edges} == {
         frozenset(v.name for v in e) for e in graph.edges
     }
-    mtree, *_ = compile_diagram(model, given=[model.var(n) for n in GOLDEN_SEQUENCE])
+    mtree, *_ = compile_diagram(model, given=[var(model, n) for n in GOLDEN_SEQUENCE])
     result = solve(mtree, model)
     ok_policy = result.policy_clique == GOLDEN_POLICY_CLIQUES
     d2_domain = {v.name for p in result.policies if p.decision.name == "D2" for v in p.domain}
@@ -152,14 +154,14 @@ def test_criterion_3_absorption_preserves_contraction():
                              structural_zeros=seed % 3 == 0)
         tree, *_ = compile_diagram(model)
         run = initialize(tree, model)
-        phi_all, psi_all = global_pair(run, live_only=False)
+        phi_all, psi_all = global_pair(run)
         for c in sorted(tree.cliques, key=lambda c: -c.index):
             if c.index == tree.root:
                 continue
             absorb(run, c.index)
             live_vars = set()
             for d in tree.cliques:
-                if d.index not in run.retired:
+                if d.index in run.states:
                     live_vars |= d.members
             gone = set(model.variables) - live_vars
             want_phi, want_psi = marg_all(phi_all, psi_all, gone)

@@ -35,6 +35,7 @@ from conftest import (
     GOLDEN_FILLS,
     GOLDEN_PARENT_LINKS,
     GOLDEN_SEQUENCE,
+    alpha,
     edge_names,
     graph_of,
 )
@@ -111,8 +112,8 @@ def _golden_order(golden):
 def test_reference_sequence_accepted_as_given(golden):
     order, _, vs = _golden_order(golden)
     assert [v.name for v in order.sequence] == GOLDEN_SEQUENCE
-    assert order.alpha[vs["l"]] == 16
-    assert order.alpha[vs["b"]] == 1
+    assert alpha(order)[vs["l"]] == 16
+    assert alpha(order)[vs["b"]] == 1
 
 
 def test_stage_constraint_rejects_premature_decision(golden):
@@ -462,7 +463,7 @@ def _reference_cliques_of(graph, order):
     or 1 if no member qualifies.
     """
     adj = _adjacency(graph)
-    alpha = order.alpha
+    number = alpha(order)
     elim, up = {}, {}
     work = {v: set(ns) for v, ns in adj.items()}
     for v in order.sequence:
@@ -474,7 +475,7 @@ def _reference_cliques_of(graph, order):
                 )
         elim[v] = frozenset(nbrs | {v})
         if nbrs:
-            up[v] = max(nbrs, key=alpha.__getitem__)
+            up[v] = max(nbrs, key=number.__getitem__)
         for nb in nbrs:
             work[nb].discard(v)
         del work[v]
@@ -483,12 +484,12 @@ def _reference_cliques_of(graph, order):
     def index_of(c):
         best = 0
         for v in c:
-            av = alpha[v]
+            av = number[v]
             if av <= best:
                 continue
-            below = [w for w in c if alpha[w] < av]
+            below = [w for w in c if number[w] < av]
             for u in adj[below[0]] if below else graph.vertices:
-                if u in c or alpha[u] >= av:
+                if u in c or number[u] >= av:
                     continue
                 if all(w in adj[u] for w in below):
                     best = av
@@ -608,17 +609,17 @@ def test_tree_links_follow_the_elimination_tree():
     # the walk of a clique covers its members numbered at or above its index;
     # the clique ending at y hangs below the clique whose walk holds up(y)
     for _, tree, order, tri in _compiled_draws():
-        alpha = order.alpha
+        number = alpha(order)
         adj = _adjacency(tri)
-        walks = [(v, c.index) for c in tree.cliques for v in c.members if alpha[v] >= c.index]
+        walks = [(v, c.index) for c in tree.cliques for v in c.members if number[v] >= c.index]
         owner = dict(walks)
-        assert len(owner) == len(walks) == len(alpha)  # every vertex on exactly one walk
-        by_number = {a: v for v, a in alpha.items()}
+        assert len(owner) == len(walks) == len(number)  # every vertex on exactly one walk
+        by_number = {a: v for v, a in number.items()}
         expected = {}
         for c in tree.cliques:
-            later = [w for w in adj[by_number[c.index]] if alpha[w] < c.index]
+            later = [w for w in adj[by_number[c.index]] if number[w] < c.index]
             if later:
-                expected[c.index] = owner[max(later, key=alpha.__getitem__)]
+                expected[c.index] = owner[max(later, key=number.__getitem__)]
             elif c.index != tree.root:
                 expected[c.index] = tree.root  # empty separator
         assert tree.parent == expected

@@ -17,13 +17,17 @@ from idjt import (
     Utility,
     Variable,
     chance_var,
+    compile_diagram,
     decision_var,
-    diagrams_equal,
+    extend,
     parse_model,
+    solve,
     validate,
     write_model,
 )
 from idjt.randmodels import random_model
+
+from conftest import var
 
 TINY = """
 decision D states d1 d2 index 1
@@ -48,7 +52,7 @@ def test_minimal_single_variable_document():
 def test_comments_and_blank_lines_ignored():
     text = "# header\n\nchance a states yes no stage 0  # trailing\ncpt a : 0.5 0.5\n"
     d = parse_model(text)
-    assert d.var("a").states == ("yes", "no")
+    assert var(d, "a").states == ("yes", "no")
 
 
 def test_cpt_value_order_last_variable_fastest():
@@ -128,13 +132,13 @@ def test_decision_index_zero_rejected():
 
 def test_round_trip_write_then_parse(tiny_model, golden_model):
     for d in (tiny_model, golden_model):
-        assert diagrams_equal(parse_model(write_model(d)), d)
+        assert write_model(parse_model(write_model(d))) == write_model(d)
 
 
 def test_round_trip_random_models():
     for seed in range(20):
         d = random_model(seed, structural_zeros=seed % 2 == 0)
-        assert diagrams_equal(parse_model(write_model(d)), d)
+        assert write_model(parse_model(write_model(d))) == write_model(d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,6 +333,64 @@ def test_chance_variable_without_parent_entry_violation():
     problems = validate(missing)
     assert [p.kind for p in problems] == ["parents"]
     assert "'x'" in problems[0].message
+
+
+def test_utility_table_over_another_domain_violation():
+    base = build_valid()
+    a, _, x = base.variables
+    bad = Utility("u0", (x,), Table.from_flat([a, x], [1.0, 2.0, np.inf, 4.0]))
+    diagram = InfluenceDiagram(base.variables, base.parents, base.cpts, (bad,))
+    # reported once, without a finiteness check on the table
+    assert validate(diagram) == [("utility", "table of utility 'u0' is not over its domain")]
+
+
+GATE_FAULTS = ("utility table", "utility domain", "parents entry", "undeclared parent",
+               "decision parents", "cpt domain", "negative cpt entry", "variable dropped")
+
+
+def _with_fault(model, fault, k):
+    """model with one hand-made fault; k picks the variable, utility or entry it hits."""
+    variables, parents, cpts = list(model.variables), dict(model.parents), dict(model.cpts)
+    utilities, chance = list(model.utilities), model.chance_variables
+    c, u = chance[k % len(chance)], utilities[k % len(utilities)]
+    w = [v for v in variables if v != c][k % (len(variables) - 1)]
+    if fault == "utility table":
+        dom = tuple(set(u.domain) ^ {w})
+        table = Table.from_flat(dom, np.ones(math.prod(len(v.states) for v in dom)))
+        utilities[k % len(utilities)] = Utility(u.name, u.domain, table)
+    elif fault == "utility domain":
+        i = k % len(u.domain)
+        utilities[k % len(utilities)] = Utility(u.name, u.domain[:i] + u.domain[i + 1:], u.table)
+    elif fault == "parents entry":
+        del parents[c.name]
+    elif fault == "undeclared parent":
+        g = chance_var("g", ("g0", "g1"), 0)
+        parents[c.name] += (g,)
+        cpts[c.name] = extend(cpts[c.name], cpts[c.name].domain + (g,))
+    elif fault == "decision parents":
+        parents[model.decisions[k % len(model.decisions)].name] = (c,)
+    elif fault == "cpt domain":
+        dom = tuple(set(model.family(c)) ^ {w})
+        cells = math.prod(len(v.states) for v in dom)
+        cpts[c.name] = Table.from_flat(dom, np.full(cells, 1.0 / len(c.states)))
+    elif fault == "negative cpt entry":
+        flat = cpts[c.name].to_flat(model.family(c)).copy()
+        flat[k % flat.size] = -0.5
+        cpts[c.name] = Table.from_flat(model.family(c), flat)
+    else:  # variable dropped
+        del variables[k % len(variables)]
+    return InfluenceDiagram(tuple(variables), parents, cpts, tuple(utilities))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(GATE_FAULTS),
+       k=st.integers(0, 2**16))
+def test_validate_is_the_gate(seed, fault, k):
+    # a model validate accepts compiles and solves; anything else is a violation
+    model = _with_fault(random_model(seed, max_variables=6), fault, k)
+    if not validate(model):
+        tree, *_ = compile_diagram(model)
+        solve(tree, model)
 
 
 def _reference_cpt_violations(diagram):

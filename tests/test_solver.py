@@ -25,11 +25,11 @@ from idjt import (
     solve,
 )
 from idjt.compiler import Clique, StrongJunctionTree
-from idjt.solver import CliqueState, extract_policies, global_pair
+from idjt.solver import CliqueState, extract_policies
 from idjt.oracle import brute_force, joint_probability, rollout, total_utility
 from idjt.randmodels import random_model
 
-from conftest import GOLDEN_POLICY_CLIQUES
+from conftest import GOLDEN_POLICY_CLIQUES, global_pair, var
 
 
 def _solved(model):
@@ -47,7 +47,7 @@ def test_initialize_reconstructs_joint_and_utility():
         model = random_model(seed + 40, max_variables=6)
         tree, *_ = compile_diagram(model)
         run = initialize(tree, model)
-        phi, psi = global_pair(run, live_only=False)
+        phi, psi = global_pair(run)
         order = sorted(model.variables, key=lambda v: (v.rank, v.name))
         want_phi = joint_probability(model, order)
         want_psi = total_utility(model, order)
@@ -60,18 +60,18 @@ def test_initialize_reconstructs_joint_and_utility():
 def test_assignment_goes_to_lowest_index_clique(golden_model):
     tree, *_ = compile_diagram(
         golden_model,
-        given=[golden_model.var(n) for n in
+        given=[var(golden_model, n) for n in
                ["l", "j", "k", "i", "h", "a", "c", "d", "D4", "g", "D3", "D2", "f", "e", "D1", "b"]],
     )
     run = initialize(tree, golden_model)
     # e's family {c, d, e} fits only clique 10; b's family fits the root
-    e = golden_model.var("e")
+    e = var(golden_model, "e")
     assert e in run.states[10].phi.domain
-    assert set(run.states[1].phi.domain) >= set(golden_model.family(golden_model.var("b")))
+    assert set(run.states[1].phi.domain) >= set(golden_model.family(var(golden_model, "b")))
 
 
 def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
-    x, d = tiny_model.var("x"), tiny_model.var("D")
+    x, d = var(tiny_model, "x"), var(tiny_model, "D")
     cliques = (Clique(frozenset({x, d}), 1), Clique(frozenset({d}), 2), Clique(frozenset({d}), 3))
     run = initialize(StrongJunctionTree(cliques, {2: 1, 3: 1}, 1), tiny_model)
     unit, null = run.states[2].phi, run.states[2].psi  # clique 2 and 3 hold no factor
@@ -86,7 +86,7 @@ def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
 
 
 def test_initialize_names_the_factor_no_clique_holds(tiny_model):
-    x, d = tiny_model.var("x"), tiny_model.var("D")
+    x, d = var(tiny_model, "x"), var(tiny_model, "D")
     cliques = (Clique(frozenset({x}), 1), Clique(frozenset({d}), 2))
     tree = StrongJunctionTree(cliques, {2: 1}, 1)
     with pytest.raises(InvariantError, match=r"no clique contains the family of 'x' \['D', 'x'\]"):
@@ -205,7 +205,7 @@ def test_single_clique_tree_collect_is_noop(tiny_model):
     tree, *_ = compile_diagram(tiny_model)
     run = initialize(tree, tiny_model)
     collect(run)
-    assert run.retired == set()
+    assert run.states.keys() == {c.index for c in tree.cliques}
     assert meu(run) == 6.0
 
 
@@ -213,11 +213,8 @@ def test_collect_releases_every_absorbed_clique(golden_model):
     tree, *_ = compile_diagram(golden_model)
     run = collect(initialize(tree, golden_model))
     assert run.states.keys() == {tree.root}
-    assert run.retired == {c.index for c in tree.cliques} - {tree.root}
     phi, psi = global_pair(run)
     assert phi.equals(run.states[tree.root].phi) and psi.equals(run.states[tree.root].psi)
-    with pytest.raises(InvariantError, match="gone after an absorb"):
-        global_pair(run, live_only=False)
 
 
 def test_chain_of_two_cliques_equals_one_absorb():
@@ -242,7 +239,7 @@ def test_collect_matches_global_contraction_on_small_models():
                              structural_zeros=seed % 4 == 0)
         tree, *_ = compile_diagram(model)
         run = initialize(tree, model)
-        phi_all, psi_all = global_pair(run, live_only=False)
+        phi_all, psi_all = global_pair(run)
         collect(run)
         root_members = tree.clique(tree.root).members
         gone = set(model.variables) - root_members
@@ -411,7 +408,7 @@ def test_state_relabelling_keeps_meu_and_optimal_policies():
 
 def test_policy_cliques_and_domains_on_the_golden_model(golden_model):
     seq = ["l", "j", "k", "i", "h", "a", "c", "d", "D4", "g", "D3", "D2", "f", "e", "D1", "b"]
-    tree, *_ = compile_diagram(golden_model, given=[golden_model.var(n) for n in seq])
+    tree, *_ = compile_diagram(golden_model, given=[var(golden_model, n) for n in seq])
     result = solve(tree, golden_model)
     assert result.policy_clique == GOLDEN_POLICY_CLIQUES
     domains = {p.decision.name: {v.name for v in p.domain} for p in result.policies}
