@@ -211,7 +211,9 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if u.name in seen_names:
             out.append(Violation("name", f"duplicate utility name {u.name!r}"))
         seen_names.add(u.name)
-        if set(u.table.domain) != set(u.domain):
+        if len(set(u.domain)) != len(u.domain):
+            out.append(Violation("utility", f"utility {u.name!r} repeats a variable in its domain"))
+        elif set(u.table.domain) != set(u.domain):
             out.append(Violation("utility", f"table of utility {u.name!r} is not over its domain"))
         elif not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))

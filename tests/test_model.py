@@ -344,8 +344,17 @@ def test_utility_table_over_another_domain_violation():
     assert validate(diagram) == [("utility", "table of utility 'u0' is not over its domain")]
 
 
-GATE_FAULTS = ("utility table", "utility domain", "parents entry", "undeclared parent",
-               "decision parents", "cpt domain", "negative cpt entry", "variable dropped")
+def test_utility_domain_repeating_a_variable_violation():
+    base = build_valid()
+    x = base.variables[2]
+    twice = Utility("u0", (x, x), Table.from_flat([x], [1.0, 2.0]))
+    diagram = InfluenceDiagram(base.variables, base.parents, base.cpts, (twice,))
+    assert validate(diagram) == [("utility", "utility 'u0' repeats a variable in its domain")]
+
+
+GATE_FAULTS = ("utility table", "utility domain", "utility repeat", "parents entry",
+               "undeclared parent", "decision parents", "cpt domain", "negative cpt entry",
+               "variable dropped")
 
 
 def _with_fault(model, fault, k):
@@ -361,6 +370,9 @@ def _with_fault(model, fault, k):
     elif fault == "utility domain":
         i = k % len(u.domain)
         utilities[k % len(utilities)] = Utility(u.name, u.domain[:i] + u.domain[i + 1:], u.table)
+    elif fault == "utility repeat":
+        twice = u.domain + (u.domain[k % len(u.domain)],)
+        utilities[k % len(utilities)] = Utility(u.name, twice, u.table)
     elif fault == "parents entry":
         del parents[c.name]
     elif fault == "undeclared parent":
@@ -386,11 +398,12 @@ def _with_fault(model, fault, k):
 @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(GATE_FAULTS),
        k=st.integers(0, 2**16))
 def test_validate_is_the_gate(seed, fault, k):
-    # a model validate accepts compiles and solves; anything else is a violation
+    # a model validate accepts compiles, solves and writes; anything else is a violation
     model = _with_fault(random_model(seed, max_variables=6), fault, k)
     if not validate(model):
         tree, *_ = compile_diagram(model)
         solve(tree, model)
+        write_model(model)
 
 
 def _reference_cpt_violations(diagram):
