@@ -128,11 +128,10 @@ def run(config: RunConfig) -> tuple[int, str]:
     emit(f"elimination: {' '.join(v.name for v in order.sequence)}")
     emit(f"cliques: {len(tree.cliques)}")
     for c in tree.cliques:
-        link = f" -> C{tree.parent[c.index]}" if c.index in tree.parent else " (root)"
-        sep = ""
         if c.index in tree.parent:
-            sep = f" [sep: {', '.join(sorted(v.name for v in tree.separator(c.index)))}]"
-        emit(f"  C{c.index}: {', '.join(c.names())}{link}{sep}")
+            emit(f"  {c.label()} -> C{tree.parent[c.index]} [sep: {tree.separator_label(c.index)}]")
+        else:
+            emit(f"  {c.label()} (root)")
     emit(f"MEU {_fmt(result.meu)}")
     for pol in result.policies:
         emit(f"decision {pol.decision.name}: clique C{result.policy_clique[pol.decision.name]}")
@@ -143,8 +142,8 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     if config.stats:
         emit(f"fill-ins: {len(fills)}")
-        for e in sorted(tuple(sorted(v.name for v in f)) for f in fills):
-            emit(f"  {e[0]} -- {e[1]}")
+        for a, b in compiler.sorted_edges(fills):
+            emit(f"  {a} -- {b}")
         sizes = {c.index: c.weight for c in tree.cliques}
         emit(f"max clique state-space size: {max(sizes.values())}")
         for k in sorted(sizes):

@@ -9,11 +9,12 @@ rooted tree lets sum- and max-marginalizations interleave soundly during the
 collect pass: on every edge the separator temporally precedes the rest of the
 child clique.
 
-From ``moralize`` on, a graph's vertices are 0..n-1 in canonical (rank, name)
-order and each neighbourhood N(v) is one ``int`` bitset, so no set operation
-calls ``Variable.__hash__``.  The fill count of v is half the sum over a in
-N(v) of ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into
-each neighbour the bits of N(v) it lacked.  The tree answers one query, the
+The diagram owns the vertex numbering (``InfluenceDiagram.index``, 0..n-1 in
+canonical (rank, name) order) and each pass hands it on.  A neighbourhood N(v)
+is one ``int`` bitset over those ids, so no set operation calls
+``Variable.__hash__``.  The fill count of v is half the sum over a in N(v) of
+``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
+neighbour the bits of N(v) it lacked.  The tree answers one query, the
 lowest-index clique holding a domain, from per-variable bitsets of indices.
 """
 
@@ -26,7 +27,6 @@ from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
-from .tables import canonical_key
 
 
 class CompileError(Exception):
@@ -50,11 +50,15 @@ def _members(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class MoralGraph:
-    """Undirected graph, no loops: ``adj[i]`` is N(i) as a bitset over the
-    indices of ``vertices``, which are in canonical (rank, name) order."""
+    """Undirected graph, no loops: ``index`` numbers the vertices, in canonical
+    (rank, name) order, and ``adj[i]`` is N(i) as a bitset over those ids."""
 
-    vertices: tuple[Variable, ...]
+    index: dict[Variable, int]
     adj: tuple[int, ...]
+
+    @property
+    def vertices(self) -> tuple[Variable, ...]:
+        return tuple(self.index)
 
     @property
     def edges(self) -> frozenset[frozenset[Variable]]:
@@ -70,18 +74,16 @@ def moralize(diagram: InfluenceDiagram) -> MoralGraph:
     Temporal (information) links into decisions are not part of the graph;
     only genuine arcs and the completions above contribute edges.
     """
-    vs = tuple(sorted(diagram.variables, key=canonical_key))
-    ids = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
+    adj = [0] * len(diagram.index)
     completed = [diagram.family(v) for v in diagram.chance_variables]  # arcs, married parents
     completed += [u.domain for u in diagram.utilities]
     for c in completed:
         bits = 0
         for v in c:
-            bits |= 1 << ids[v]
+            bits |= 1 << diagram.index[v]
         for i in _members(bits):
             adj[i] |= bits ^ 1 << i
-    return MoralGraph(vs, tuple(adj))
+    return MoralGraph(diagram.index, tuple(adj))
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
     if heuristic not in get_args(Heuristic):
         raise OrderError(f"unknown heuristic {heuristic!r}")
     if given is not None:
-        if set(given) != set(graph.vertices):
+        if set(given) != graph.index.keys():
             raise OrderError("given sequence is not a permutation of the variables")
         return EliminationOrder(tuple(given))
 
@@ -189,25 +191,30 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
     return EliminationOrder(tuple(vs[i] for i in sequence))
 
 
+def _ids(graph: MoralGraph, order: EliminationOrder) -> list[int]:
+    """The vertex ids of the order's sequence, which must cover the graph."""
+    ids = [graph.index.get(v) for v in order.sequence]
+    if None in ids or len(ids) != len(graph.index):  # the sequence repeats no variable
+        raise OrderError("order does not cover the graph's vertices")
+    return ids
+
+
 def triangulate(graph: MoralGraph,
                 order: EliminationOrder) -> tuple[MoralGraph, list[frozenset[Variable]]]:
     """Simulate elimination, returning the filled graph and the fill-ins added.
 
     The fill-ins of each eliminated vertex are listed by their sorted names.
     """
-    if set(order.sequence) != set(graph.vertices):
-        raise OrderError("order does not cover the graph's vertices")
     vs = graph.vertices
-    ids = {v: i for i, v in enumerate(vs)}
     adj, filled = list(graph.adj), list(graph.adj)
     fills: list[frozenset[Variable]] = []
-    for v in order.sequence:
+    for i in _ids(graph, order):
         added = []
-        for a, missing in _eliminate(adj, ids[v]):
+        for a, missing in _eliminate(adj, i):
             filled[a] |= missing
             added += (frozenset((vs[a], vs[b])) for b in _members(missing >> a << a))
         fills += sorted(added, key=lambda e: sorted(w.name for w in e))
-    return MoralGraph(vs, tuple(filled)), fills
+    return MoralGraph(graph.index, tuple(filled)), fills
 
 
 @dataclass(frozen=True)
@@ -221,6 +228,9 @@ class Clique:
 
     def names(self) -> list[str]:
         return sorted(v.name for v in self.members)
+
+    def label(self) -> str:  # as the report and the DOT tree print it
+        return f"C{self.index}: {', '.join(self.names())}"
 
     def __repr__(self):
         return f"C{self.index}({','.join(self.names())})"
@@ -246,10 +256,7 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
     are disjoint, so the indices are distinct and the walks take linear time.
     """
     vs, adj = graph.vertices, graph.adj
-    ids = {v: i for i, v in enumerate(vs)}
-    seq = [ids[v] for v in order.sequence]
-    if len(seq) != len(vs):
-        raise OrderError("order does not cover the graph's vertices")
+    seq = _ids(graph, order)
     pos = {i: k for k, i in enumerate(seq)}  # alpha is len(seq) - pos
     later, left = [0] * len(vs), (1 << len(vs)) - 1
     for i in seq:
@@ -318,6 +325,9 @@ class StrongJunctionTree:
 
     def separator(self, child_index: int) -> frozenset[Variable]:
         return self.clique(child_index).members & self.clique(self.parent[child_index]).members
+
+    def separator_label(self, child_index: int) -> str:  # as the report and the DOT tree print it
+        return ", ".join(sorted(v.name for v in self.separator(child_index)))
 
     def children(self, index: int) -> list[int]:
         return list(self._children.get(index, ()))
@@ -427,7 +437,7 @@ def compile_diagram(diagram: InfluenceDiagram, heuristic: Heuristic = "min-fill"
 # DOT export
 
 
-def _sorted_edges(edges: Iterable[frozenset[Variable]]) -> list[tuple[str, str]]:
+def sorted_edges(edges: Iterable[frozenset[Variable]]) -> list[tuple[str, str]]:
     return sorted(tuple(sorted(w.name for w in e)) for e in edges)
 
 
@@ -435,8 +445,8 @@ def _graph_dot(title: str, graph: MoralGraph, fills: frozenset[frozenset[Variabl
     lines = [f"graph {title} {{"]
     for v in sorted(graph.vertices, key=lambda v: v.name):
         lines.append(f'  "{v.name}" [shape={"box" if v.is_decision else "ellipse"}];')
-    lines += [f'  "{a}" -- "{b}";' for a, b in _sorted_edges(graph.edges - fills)]
-    lines += [f'  "{a}" -- "{b}" [style=dashed];' for a, b in _sorted_edges(fills)]
+    lines += [f'  "{a}" -- "{b}";' for a, b in sorted_edges(graph.edges - fills)]
+    lines += [f'  "{a}" -- "{b}" [style=dashed];' for a, b in sorted_edges(fills)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -452,10 +462,8 @@ def triangulated_to_dot(graph: MoralGraph, fills: Iterable[frozenset[Variable]])
 def tree_to_dot(tree: StrongJunctionTree) -> str:
     lines = ["digraph junction_tree {", "  node [shape=box];"]
     for c in tree.cliques:
-        label = f"C{c.index}: {', '.join(c.names())}"
-        lines.append(f'  C{c.index} [label="{label}"];')
-    for child in sorted(tree.parent):
-        sep = ", ".join(sorted(v.name for v in tree.separator(child)))
-        lines.append(f'  C{child} -> C{tree.parent[child]} [label="{sep}"];')
+        lines.append(f'  C{c.index} [label="{c.label()}"];')
+    for child, parent in sorted(tree.parent.items()):
+        lines.append(f'  C{child} -> C{parent} [label="{tree.separator_label(child)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -109,20 +110,28 @@ class Utility:
 
 @dataclass(frozen=True)
 class InfluenceDiagram:
+    """A model; ``index`` numbers its distinct variables in canonical (rank, name)
+    order, sorted once here and read by every pass, and ``decisions`` lists the
+    decisions in that order, each as often as it is declared."""
+
     variables: tuple[Variable, ...]  # declaration order
     parents: Mapping[str, tuple[Variable, ...]]  # chance name -> parent list
     cpts: Mapping[str, Table]  # chance name -> table over (parents, child)
     utilities: tuple[Utility, ...]
+    index: dict[Variable, int] = field(init=False, repr=False, compare=False)
+    decisions: tuple[Variable, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        order = sorted(self.variables, key=canonical_key)
+        index: dict[Variable, int] = {}
+        for v in order:
+            index.setdefault(v, len(index))
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "decisions", tuple(v for v in order if v.is_decision))
 
     @property
     def chance_variables(self) -> tuple[Variable, ...]:
         return tuple(v for v in self.variables if not v.is_decision)
-
-    @property
-    def decisions(self) -> tuple[Variable, ...]:
-        """Decisions in temporal order."""
-        decisions = (v for v in self.variables if v.is_decision)
-        return tuple(sorted(decisions, key=canonical_key))
 
     def family(self, v: Variable) -> tuple[Variable, ...]:
         """Parents of v followed by v itself."""
@@ -165,12 +174,10 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     indices = sorted(v.stage for v in decisions)
     if indices != list(range(1, n + 1)):
         out.append(Violation("decision-index", f"decision indices {indices} must be exactly 1..{n}"))
-    late: dict[int, set[Variable]] = {}
-    for v in chance:
-        if v.stage > n:
-            late.setdefault(v.stage, set()).add(v)
-    for k in sorted(late):
-        names = sorted(v.name for v in late[k])
+    index = diagram.index
+    late = (v for v in index if not v.is_decision and v.stage > n)  # by stage, then by name
+    for k, group in groupby(late, key=lambda v: v.stage):
+        names = [v.name for v in group]
         out.append(Violation("stage", f"stage {k} exceeds decision count {n} (variables {names})"))
 
     for v in diagram.variables:
@@ -192,7 +199,8 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             out.append(Violation("cpt", f"cpt of {v.name!r} is not over its family"))
             continue
         vals = cpt.values
-        sums = vals.sum(axis=position(cpt.domain, v))
+        with np.errstate(over="ignore", invalid="ignore"):  # e.g. rows 1e308 1e308, inf -inf
+            sums = vals.sum(axis=position(cpt.domain, v))
         if vals.min(initial=0.0) >= 0 and abs(sums - 1.0).max(initial=0.0) <= ROW_SUM_TOL:
             continue  # NaN, an infinity or an overflowing row fails this and is itemized below
         if not np.all(np.isfinite(vals)):
@@ -221,32 +229,27 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             bound += float(np.max(np.abs(u.table.values), initial=0.0))
     if not math.isfinite(bound):
         out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
-    declared = set(diagram.variables)
     used = [*(p for v in chance for p in diagram.parents.get(v.name, ())),
             *(x for u in diagram.utilities for x in u.domain)]
-    for x in dict.fromkeys(x for x in used if x not in declared):  # first use first
+    for x in dict.fromkeys(x for x in used if x not in index):  # first use first
         out.append(Violation("undeclared", f"variable {x.name!r} is used but not declared"))
 
-    # Kahn's sweep over chance arcs plus decision->child arcs, on positions:
-    # nodes[i] is the i-th distinct declared variable, kids[i] its chance
-    # children.  An undeclared parent (reported above) has no parents and no
-    # decision bit, so its arcs are skipped.  Bit k of reach[i] is set when
-    # decisions[k] is nodes[i] or has a path to it, so one pass over the arcs
-    # finds every decision that influences a variable.
-    number: dict[Variable, int] = {}
-    for v in diagram.variables:
-        number.setdefault(v, len(number))
-    kids: list[list[int]] = [[] for _ in number]
-    indegree = [0] * len(number)
+    # Kahn's sweep over chance arcs plus decision->child arcs, on the diagram's
+    # ids: kids[i] are the chance children of nodes[i], the variable with id i.
+    # An undeclared parent (reported above) has no id, so its arcs are skipped.
+    # Bit k of reach[i] is set when decisions[k] is nodes[i] or has a path to
+    # it, so one pass over the arcs finds every decision that influences a variable.
+    kids: list[list[int]] = [[] for _ in index]
+    indegree = [0] * len(index)
     for c in chance:
-        i = number[c]
+        i = index[c]
         for p in diagram.parents.get(c.name, ()):
-            if (j := number.get(p)) is not None:
+            if (j := index.get(p)) is not None:
                 kids[j].append(i)
                 indegree[i] += 1
-    nodes, reach = list(number), [0] * len(number)
+    nodes, reach = list(index), [0] * len(index)
     for k, d in enumerate(decisions):
-        reach[number[d]] |= 1 << k
+        reach[index[d]] |= 1 << k
     ready = [i for i in range(len(nodes)) if not indegree[i]]
     for i in ready:  # the list grows while it is walked
         bits = reach[i]

@@ -15,7 +15,6 @@ import numpy as np
 
 from .model import InfluenceDiagram, Variable
 from .solver import Policy
-from .tables import canonical_key
 
 
 class OracleCapError(ValueError):
@@ -23,10 +22,6 @@ class OracleCapError(ValueError):
 
 
 DEFAULT_CAP = 1 << 16
-
-
-def _temporal_order(diagram: InfluenceDiagram) -> list[Variable]:
-    return sorted(diagram.variables, key=canonical_key)
 
 
 def _broadcast_into(values: np.ndarray, src: list[Variable], order: list[Variable]) -> np.ndarray:
@@ -80,18 +75,14 @@ class _Recursion:
         size = diagram.state_space_size()
         if size > cap:
             raise OracleCapError(f"state space {size} exceeds cap {cap}")
-        self.order = _temporal_order(diagram)
+        self.order = list(diagram.index)  # temporal order: a decision's past is a prefix
         self.joint = joint_probability(diagram, self.order)
         self.util = total_utility(diagram, self.order)
         self.blocks = _blocks(self.order)
-        self.axis = {v: i for i, v in enumerate(self.order)}
         self.policies: dict[str, tuple[tuple[Variable, ...], dict[tuple[int, ...], int]]] = {
-            d.name: (self._past_of(d), {}) for d in diagram.decisions
+            d.name: (tuple(self.order[: diagram.index[d]]), {}) for d in diagram.decisions
         }
         self.chooser = None  # optional (decision, history vars, history) -> state index
-
-    def _past_of(self, d: Variable) -> tuple[Variable, ...]:
-        return tuple(v for v in self.order if v.rank < d.rank)
 
     def total_mass(self) -> float:
         return float(self._mass_over({}, []).sum())

@@ -74,14 +74,13 @@ def golden_variables():
 
 def graph_of(vertices, edges):
     """The MoralGraph over the variables with the given edges (variable pairs)."""
-    vs = tuple(sorted(vertices, key=canonical_key))
-    ids = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
+    index = {v: i for i, v in enumerate(sorted(vertices, key=canonical_key))}
+    adj = [0] * len(index)
     for e in edges:
-        a, b = (ids[v] for v in e)
+        a, b = (index[v] for v in e)
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    return MoralGraph(vs, tuple(adj))
+    return MoralGraph(index, tuple(adj))
 
 
 def golden_moral_graph():

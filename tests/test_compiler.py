@@ -447,12 +447,22 @@ def test_cliques_of_rejects_non_perfect_order():
         cliques_of(graph, EliminationOrder((a, b, c, d)))
 
 
-def test_cliques_of_rejects_an_order_that_misses_a_vertex():
-    a = chance_var("a", ("0", "1"), 0)
-    b = chance_var("b", ("0", "1"), 0)
+@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
+@pytest.mark.parametrize("foreign", [False, True], ids=["missing", "foreign"])
+def test_cliques_of_rejects_an_order_that_misses_a_vertex(run, foreign):
+    # a vertex left out, or one left out and a variable of no graph put in
+    a, b, z = (chance_var(n, ("0", "1"), 0) for n in "abz")
     graph = graph_of((a, b), frozenset({frozenset((a, b))}))
     with pytest.raises(OrderError, match="does not cover"):
-        cliques_of(graph, EliminationOrder((a,)))
+        run(graph, EliminationOrder((a, z) if foreign else (a,)))
+
+
+def test_every_pass_hands_on_the_diagram_numbering(golden_model):
+    graph = moralize(golden_model)
+    assert graph.index is golden_model.index
+    assert graph.vertices == tuple(golden_model.index)
+    tri, _ = triangulate(graph, strong_elimination_order(graph))
+    assert tri.index is graph.index
 
 
 def _reference_cliques_of(graph, order):

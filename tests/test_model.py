@@ -233,6 +233,56 @@ def test_stage_beyond_decision_count_flagged():
     assert any(p.kind == "stage" for p in validate(d))
 
 
+def test_stages_beyond_decision_count_are_listed_by_stage_then_name():
+    d1 = decision_var("D1", ("a", "b"), 1)
+    late = [chance_var(n, ("0", "1"), k) for n, k in [("z", 3), ("b", 2), ("y", 3), ("a", 2), ("x", 1)]]
+    cpts = {v.name: Table.from_flat([v], [0.5, 0.5]) for v in late}
+    diagram = InfluenceDiagram((*late, d1), {v.name: () for v in late}, cpts, ())
+    assert validate(diagram) == [
+        ("stage", "stage 2 exceeds decision count 1 (variables ['a', 'b'])"),
+        ("stage", "stage 3 exceeds decision count 1 (variables ['y', 'z'])"),
+    ]
+
+
+def test_index_numbers_each_distinct_variable_in_canonical_order():
+    d1 = decision_var("D1", ("a", "b"), 1)
+    x, y, w = (chance_var(n, ("0", "1"), k) for n, k in [("x", 1), ("y", 0), ("w", 1)])
+    cpts = {v.name: Table.from_flat([v], [0.5, 0.5]) for v in (x, y, w)}
+    diagram = InfluenceDiagram((x, d1, y, w, x), {"x": (), "y": (), "w": ()}, cpts, ())
+    assert diagram.index == {y: 0, d1: 1, w: 2, x: 3}
+    assert tuple(diagram.index) == (y, d1, w, x)
+    assert diagram.decisions == (d1,)
+
+
+def test_a_decision_declared_twice_keeps_every_violation():
+    # the decision list keeps the repeat, so the index check counts it and
+    # each temporal violation of the decision is listed once per declaration
+    d1 = decision_var("D1", ("a", "b"), 1)
+    d2 = decision_var("D2", ("a", "b"), 2)
+    x = chance_var("x", ("0", "1"), 0)
+    y = chance_var("y", ("0", "1"), 1)
+    cpts = {"x": Table.from_flat([d2, x], [0.5] * 4), "y": Table.from_flat([x, d1, y], [0.5] * 8)}
+    diagram = InfluenceDiagram((d2, x, d1, y, d2), {"x": (d2,), "y": (x, d1)}, cpts, ())
+    assert diagram.decisions == (d1, d2, d2)
+    early = [("temporal", f"decision 'D2' influences {v.name!r}, which is observed before it "
+                          f"(stage {v.stage})") for v in (x, y)]
+    assert validate(diagram) == [
+        ("name", "duplicate variable name 'D2'"),
+        ("decision-index", "decision indices [1, 2, 2] must be exactly 1..3"),
+        *early,
+        *early,
+    ]
+
+
+@pytest.mark.parametrize("row, found", [
+    ("1e308 1e308", ("normalization", "cpt rows of 'a' must sum to 1 (found inf)")),
+    ("inf -inf", ("cpt", "cpt of 'a' has non-finite entries")),
+])
+def test_an_overflowing_cpt_row_is_reported_without_a_warning(row, found):
+    # tier-1 turns a RuntimeWarning into an error, so a numpy warning from the row sum fails here
+    assert validate(parse_model(f"chance a states x y stage 0\ncpt a : {row}\n")) == [found]
+
+
 def test_decision_index_gap_flagged():
     text = "decision D1 states u v index 1\ndecision D3 states u v index 3\n"
     problems = validate(parse_model(text))
