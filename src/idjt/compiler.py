@@ -98,8 +98,6 @@ class EliminationOrder:
     sequence: tuple[Variable, ...]
 
     def __post_init__(self):
-        if len(set(self.sequence)) != len(self.sequence):
-            raise OrderError("sequence repeats a variable")
         for a, b in zip(self.sequence, self.sequence[1:]):
             if a.rank < b.rank:
                 raise OrderError(
@@ -156,6 +154,8 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
     if given is not None:
         if set(given) != graph.index.keys():
             raise OrderError("given sequence is not a permutation of the variables")
+        if len(given) != len(graph.index):
+            raise OrderError("sequence repeats a variable")
         return EliminationOrder(tuple(given))
 
     vs = graph.vertices
@@ -192,10 +192,10 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
 
 
 def _ids(graph: MoralGraph, order: EliminationOrder) -> list[int]:
-    """The vertex ids of the order's sequence, which must cover the graph."""
+    """The vertex ids of the order's sequence, which must hold each vertex once."""
     ids = [graph.index.get(v) for v in order.sequence]
-    if None in ids or len(ids) != len(graph.index):  # the sequence repeats no variable
-        raise OrderError("order does not cover the graph's vertices")
+    if None in ids or len(ids) != len(graph.index) or len(set(ids)) != len(ids):
+        raise OrderError("order does not cover the graph's vertices once")
     return ids
 
 

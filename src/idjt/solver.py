@@ -3,11 +3,13 @@
 Each clique carries a probability potential and a utility potential.  After
 initialization the product of all probability potentials is the joint
 distribution and the sum of all utility potentials is the total utility.
-Absorbing a leaf contracts it over the variables outside the separator,
-folds the result into its parent and releases the leaf's potentials;
-running absorptions from the highest clique index down to the root leaves
-the root as the only live clique, holding the contraction of the whole
-model, from which a final contraction yields the maximum expected utility.
+Absorbing a leaf retires it, contracts it over the variables outside the
+separator (owning its tables, each freed once used up) and folds the result
+into its parent; running absorptions from the highest clique index down to
+the root leaves the root as the only live clique, holding the contraction of
+the whole model, from which a final contraction yields the maximum expected
+utility.  A clique with no utility below it keeps the null utility potential
+and sends a null utility message, which is not added.
 
 Every max step over a decision happens exactly once, in the clique nearest
 the root that contains the decision.  The probability component must be
@@ -25,7 +27,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, add, marg_all, multiply, position
+from .tables import Table, _marg_owned, add, multiply, position
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -72,8 +74,8 @@ class SolveResult:
 class SolveRun:
     """Mutable state of one collect/extract pass over an initialized tree.
 
-    ``states`` holds the potentials of the live cliques only: ``absorb``
-    deletes the child's entry, so a clique is live exactly when it has
+    ``states`` holds the potentials of the live cliques only: a contraction
+    removes its clique's entry, so a clique is live exactly when it has
     potentials.  ``max_steps`` maps each decision maximized so far to the
     clique where that happened and the policy taken there.
     """
@@ -143,9 +145,9 @@ def _recorder(run: SolveRun, clique_index: int):
 
 
 def _contract(run: SolveRun, clique_index: int, keep: frozenset[Variable]):
-    st = run.states[clique_index]
     members = run.tree.clique(clique_index).members
-    return marg_all(st.phi, st.psi, members - keep, on_decision=_recorder(run, clique_index))
+    tables = [run.states[clique_index].phi, run.states.pop(clique_index).psi]  # the contraction owns them
+    return _marg_owned(tables, members - keep, _recorder(run, clique_index))
 
 
 def absorb(run: SolveRun, child_index: int) -> None:
@@ -155,7 +157,9 @@ def absorb(run: SolveRun, child_index: int) -> None:
     (with 0/0 = 0), so the parent update is a multiply and an add.  Wherever
     the probability message is zero the utility message must be zero too;
     nonzero utility on zero support means the model's joint cannot carry it.
-    The child's entry leaves ``run.states``, which frees its potentials.
+    The child leaves ``run.states`` as its contraction starts.  Skipping a null
+    utility message changes no bit: each psi is a sum whose first operand is
+    the +0.0 null, so holds no -0.0, and x + 0.0 is x for every other x.
     """
     if child_index == run.tree.root:
         raise InvariantError(f"clique {child_index} is the root: meu contracts it, not absorb")
@@ -164,10 +168,9 @@ def absorb(run: SolveRun, child_index: int) -> None:
     if any(k in run.states for k in run.tree.children(child_index)):
         raise InvariantError(f"clique {child_index} still has live children")
     phi_s, psi_s = _contract(run, child_index, run.tree.separator(child_index))
-    del run.states[child_index]
     parent = run.states[run.tree.parent[child_index]]
     parent.phi = multiply(parent.phi, phi_s)
-    parent.psi = add(parent.psi, psi_s)
+    parent.psi = parent.psi if psi_s.is_null() else add(parent.psi, psi_s)
 
 
 def collect(run: SolveRun) -> SolveRun:

@@ -131,6 +131,10 @@ class Table:
         """Additive identity (the all-zero function)."""
         return cls.scalar(0.0)
 
+    def is_null(self) -> bool:
+        """Whether this is a scalar +0.0, the null (phi * -0.0 is -0.0, not +0.0); a length test first."""
+        return not self.domain and self.values == 0.0 and math.copysign(1.0, self.values) > 0.0
+
     # -- views -------------------------------------------------------------
 
     def to_flat(self, order: Sequence["Variable"]) -> np.ndarray:
@@ -397,19 +401,37 @@ def marg_all(
     decision).  Solvers use it to check that phi is constant in the decision
     and to record the optimal choice.
 
+    A null psi makes rho zero: phi is eliminated alone, the null psi comes
+    back and each choice is state 0 over phi's domain minus the decision, bit
+    for bit as with a zero rho, since validated CPTs make phi * 0 exactly +0.
+
     Within a stage all variables are chance, and their order affects the
     result only through floating-point rounding; ties break by name so the
     result does not depend on set iteration order.  Two decisions can never
     share a rank in a valid model.
     """
+    return _marg_owned([phi, psi], variables, on_decision)
+
+
+def _marg_owned(tables: list[Table], variables, on_decision) -> tuple[Table, Table]:
+    """``marg_all`` of [phi, psi], popping each table as it is used up, so that psi
+    is freed once rho is formed; each rho is freed before phi is reduced."""
+    phi = tables.pop(0)
     order = sorted(variables, key=lambda v: (-v.rank, v.name))
     if not order:
-        return phi, psi
+        return phi, tables.pop()
     ranks = [v.rank for v in order if v.is_decision]
     if len(ranks) != len(set(ranks)):
         raise ValueError("two decisions share a temporal rank")
 
-    rho = multiply(phi, psi)
+    if tables[0].is_null():  # rho is zero, so every decision state ties and state 0 wins
+        for v in order:
+            reduced = _marg_one(phi, v, maximize=v.is_decision)
+            if v.is_decision and on_decision is not None:
+                on_decision(v, phi, _fresh(reduced.domain, np.zeros_like(reduced.values, dtype=np.int64)))
+            phi = reduced
+        return phi, tables.pop()
+    rho = multiply(phi, tables.pop())
     for v in order:
         if v.is_decision and on_decision is not None:
             if position(rho.domain, v) is not None:
@@ -419,6 +441,6 @@ def marg_all(
             on_decision(v, phi, choice)
         else:
             top = _marg_one(rho, v, maximize=v.is_decision)
-        phi = _marg_one(phi, v, maximize=v.is_decision)
         rho = top
+        phi = _marg_one(phi, v, maximize=v.is_decision)
     return phi, divide(rho, phi)

@@ -457,6 +457,23 @@ def test_cliques_of_rejects_an_order_that_misses_a_vertex(run, foreign):
         run(graph, EliminationOrder((a, z) if foreign else (a,)))
 
 
+@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
+def test_a_repeated_sequence_is_rejected_where_it_is_numbered(run):
+    # EliminationOrder checks only the stage constraint; the repeat is found on the vertex ids
+    a, b = (chance_var(n, ("0", "1"), 0) for n in "ab")
+    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
+    for sequence in ((a, a), (a, b, a)):
+        with pytest.raises(OrderError, match="does not cover the graph's vertices once"):
+            run(graph, EliminationOrder(sequence))
+
+
+def test_a_given_sequence_that_repeats_a_variable_keeps_its_message(golden):
+    graph, vs = golden
+    repeated = [vs[n] for n in GOLDEN_SEQUENCE] + [vs["b"]]
+    with pytest.raises(OrderError, match="^sequence repeats a variable$"):
+        strong_elimination_order(graph, given=repeated)
+
+
 def test_every_pass_hands_on_the_diagram_numbering(golden_model):
     graph = moralize(golden_model)
     assert graph.index is golden_model.index

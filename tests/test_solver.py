@@ -1,6 +1,7 @@
 """Initialization, absorption, collect, MEU, and policy extraction."""
 
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from idjt import (
     parse_model,
     solve,
 )
+from idjt import solver
 from idjt.compiler import Clique, StrongJunctionTree
 from idjt.solver import CliqueState, extract_policies
 from idjt.oracle import brute_force, joint_probability, rollout, total_utility
@@ -428,6 +430,74 @@ def test_decision_in_no_potential_takes_its_first_state():
     assert result.policy_clique == {"D": 2}
     assert policy.decision.states[int(policy.choice.values)] == "u"  # every state ties
     assert result.meu == 1.5 == brute_force(model).meu
+
+
+# D1 reaches no utility: it and c and g, below it, form the utility-free
+# subtree C3 (D1, a, c) <- C7 (c, g) under the root C1 (a, b).  The utility
+# sits in C5 (D2, b, e).
+UTILITY_FREE_DECISION = """\
+chance a states a0 a1 stage 0
+chance b states b0 b1 stage 0
+decision D1 states s t index 1
+chance c states c0 c1 stage 1
+decision D2 states p q index 2
+chance e states e0 e1 stage 2
+chance g states g0 g1 stage 2
+cpt a : .25 .75
+cpt b given a : .5 .5 .75 .25
+cpt c given a D1 : .5 .5 .25 .75 .75 .25 .5 .5
+cpt e given b D2 : .5 .5 .25 .75 .125 .875 .125 .875
+cpt g given c : .5 .5 .25 .75
+utility u over e D2 : 4 -2 1 3
+"""
+
+
+def test_a_decision_in_a_utility_free_subtree_keeps_its_clique_domain_and_choice():
+    model = parse_model(UTILITY_FREE_DECISION)
+    tree, *_ = compile_diagram(model)
+    assert {c.index: c.names() for c in tree.cliques} == {
+        1: ["a", "b"], 3: ["D1", "a", "c"], 5: ["D2", "b", "e"], 7: ["c", "g"]}
+    assert tree.parent == {3: 1, 5: 1, 7: 3}
+    run = initialize(tree, model)
+    assert [k for k, s in run.states.items() if not s.psi.is_null()] == [5]
+    result = extract_policies(collect(run))
+    # D1 is maximized where it leaves the tree, in C3 onto the separator {a};
+    # D2 in C5 onto {b}
+    assert result.policy_clique == {"D1": 3, "D2": 5}
+    assert {p.decision.name: [v.name for v in p.domain] for p in result.policies} == {
+        "D1": ["a"], "D2": ["b"]}
+    oracle = brute_force(model)
+    assert result.meu == pytest.approx(oracle.meu, rel=1e-12)
+    for policy in result.policies:
+        past, table = oracle.policies[policy.decision.name]
+        for history, pick in table.items():  # every history is possible: no CPT cell is 0
+            assert policy.decide(dict(zip(past, history))) == pick
+    assert [p.choice.values.tolist() for p in result.policies] == [[0, 0], [0, 1]]
+
+
+def test_a_contraction_releases_its_clique_before_the_max_step(monkeypatch):
+    model = parse_model(UTILITY_FREE_DECISION)
+    tree, *_ = compile_diagram(model)
+    run = initialize(tree, model)
+    psi = run.states[5].psi  # the utility, over (D2, b, e)
+    alive = weakref.ref(psi), weakref.ref(psi.values)
+    del psi
+    seen = []
+    record = solver._recorder
+
+    def recorder(run, clique_index):
+        on_decision = record(run, clique_index)
+
+        def observed(decision, phi, choice):
+            seen.append((decision.name, clique_index in run.states, [r() is None for r in alive]))
+            on_decision(decision, phi, choice)
+
+        return on_decision if clique_index != 5 else observed
+
+    monkeypatch.setattr(solver, "_recorder", recorder)
+    collect(run)
+    assert seen == [("D2", False, [True, True])]
+    assert meu(run) == pytest.approx(brute_force(model).meu, rel=1e-12)
 
 
 def test_policy_domains_strictly_precede_their_decision():

@@ -533,6 +533,32 @@ def test_marg_all_reports_the_argmax_of_the_max_it_takes(states):
     assert seen[0][2].domain == phi.domain and not seen[0][2].values.any()
 
 
+NULL_POOL = (_var("a", 2, 0), _var("b", 3, 0), _var("D1", 2, 1), _var("c", 2, 2), _var("D2", 3, 3),
+             _var("e", 2, 4))
+PROBABILITY = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 1 / 3, 5e-324, 1e300]), st.floats(0, 1e3))
+
+
+@given(phi_domain=st.lists(st.sampled_from(NULL_POOL), unique=True, max_size=4),
+       variables=st.lists(st.sampled_from(NULL_POOL), unique=True), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_marg_all_of_the_null_utility_is_that_of_an_all_zero_table(phi_domain, variables, data):
+    cells = int(np.prod([len(v.states) for v in phi_domain]))
+    phi = Table.from_flat(phi_domain, data.draw(st.lists(PROBABILITY, min_size=cells, max_size=cells)))
+    zero = Table.from_flat(phi_domain, np.zeros(cells))
+    runs = []
+    for psi in (Table.null(), zero):
+        seen = []
+        out = marg_all(phi, psi, variables, lambda d, p, c: seen.append((d, p.domain, p.values, c)))
+        runs.append((out, seen))
+    ((phi_null, psi_null), seen_null), ((phi_zero, psi_zero), seen_zero) = runs
+    assert phi_null.domain == phi_zero.domain and _same_bits(phi_null.values, phi_zero.values)
+    assert len(seen_null) == len(seen_zero) == sum(v.is_decision for v in variables)
+    for (d, dom, p, c), (d0, dom0, p0, c0) in zip(seen_null, seen_zero):
+        assert d is d0 and dom == dom0 and _same_bits(p, p0)
+        assert c.domain == c0.domain and _same_bits(c.values, c0.values)
+    assert not psi_null.values.any() and not psi_zero.values.any()
+
+
 def _union(t1, t2):
     return tuple(sorted(set(t1.domain) | set(t2.domain), key=canonical_key))
 
