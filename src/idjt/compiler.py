@@ -10,12 +10,15 @@ collect pass: on every edge the separator temporally precedes the rest of the
 child clique.
 
 The diagram owns the vertex numbering (``InfluenceDiagram.index``, 0..n-1 in
-canonical (rank, name) order) and each pass hands it on.  A neighbourhood N(v)
-is one ``int`` bitset over those ids, so no set operation calls
+canonical (rank, name) order) and each pass hands it on: moralization reads
+the family and utility-domain ids, a chosen order keeps its ids, and each
+clique carries its members as a bitset over them.  A neighbourhood N(v) is
+one ``int`` bitset over those ids, so no set operation calls
 ``Variable.__hash__``.  The fill count of v is half the sum over a in N(v) of
 ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
-neighbour the bits of N(v) it lacked.  The tree answers one query, the
-lowest-index clique holding a domain, from per-variable bitsets of indices.
+neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
+bitset of clique indices per id, and answers one query from it: the
+lowest-index clique holding a set of ids.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
+from .tables import canonical_key
 
 
 class CompileError(Exception):
@@ -75,12 +79,10 @@ def moralize(diagram: InfluenceDiagram) -> MoralGraph:
     only genuine arcs and the completions above contribute edges.
     """
     adj = [0] * len(diagram.index)
-    completed = [diagram.family(v) for v in diagram.chance_variables]  # arcs, married parents
-    completed += [u.domain for u in diagram.utilities]
-    for c in completed:
+    for ids in diagram.factor_ids:  # families (arcs, married parents), then utility domains
         bits = 0
-        for v in c:
-            bits |= 1 << diagram.index[v]
+        for i in ids:
+            bits |= 1 << i
         for i in _members(bits):
             adj[i] |= bits ^ 1 << i
     return MoralGraph(diagram.index, tuple(adj))
@@ -96,6 +98,8 @@ class EliminationOrder:
     """
 
     sequence: tuple[Variable, ...]
+    numbering: dict[Variable, int] | None = field(default=None, repr=False, compare=False)
+    ids: tuple[int, ...] = field(default=(), repr=False, compare=False)  # the sequence, over numbering
 
     def __post_init__(self):
         for a, b in zip(self.sequence, self.sequence[1:]):
@@ -188,11 +192,13 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
                 touched |= adj[a] & common
             for w in _members(touched & left):
                 push(heap, w)
-    return EliminationOrder(tuple(vs[i] for i in sequence))
+    return EliminationOrder(tuple(vs[i] for i in sequence), graph.index, tuple(sequence))
 
 
-def _ids(graph: MoralGraph, order: EliminationOrder) -> list[int]:
+def _ids(graph: MoralGraph, order: EliminationOrder) -> Sequence[int]:
     """The vertex ids of the order's sequence, which must hold each vertex once."""
+    if order.numbering is graph.index:
+        return order.ids
     ids = [graph.index.get(v) for v in order.sequence]
     if None in ids or len(ids) != len(graph.index) or len(set(ids)) != len(ids):
         raise OrderError("order does not cover the graph's vertices once")
@@ -221,6 +227,8 @@ def triangulate(graph: MoralGraph,
 class Clique:
     members: frozenset[Variable]
     index: int
+    numbering: dict[Variable, int] | None = field(default=None, repr=False, compare=False)
+    bits: int = field(default=0, repr=False, compare=False)  # the members, over numbering
 
     @property
     def weight(self) -> int:
@@ -278,8 +286,9 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
             y = i
             while y in up and heir.get(up[y]) == y:
                 y = up[y]
-            members = [vs[i], *(vs[w] for w in _members(later[i]))]
-            cliques.append(Clique(frozenset(members), len(seq) - pos[y]))
+            bits = later[i] | 1 << i
+            members = frozenset(map(vs.__getitem__, _members(bits)))
+            cliques.append(Clique(members, len(seq) - pos[y], graph.index, bits))
     cliques.sort(key=lambda c: c.index)
     indices = [c.index for c in cliques]
     if len(set(indices)) != len(indices):
@@ -293,31 +302,43 @@ class StrongJunctionTree:
     """Cliques with their indices, each non-root linked to a parent clique.
 
     ``parent`` maps a clique index to its parent's index; separators are the
-    clique-parent intersections.  The index, children and holder lookups are
-    built once, so ``parent`` must not change after construction.  Bit k of
-    ``_holding[v]`` is set when the clique with index k holds v, and bit k of
-    ``_every`` when there is a clique with index k.
+    clique-parent intersections.  ``index`` is the numbering the cliques carry
+    (the diagram's, for a compiled tree), else one derived from their members.
+    Bit k of ``holding[i]`` is set when the clique with index k holds the
+    variable with id i.  The lookups are built once, so ``parent`` must not
+    change after construction (``build_strong_tree`` links its tree as it
+    builds it).
     """
 
     cliques: tuple[Clique, ...]
     parent: dict[int, int]
     root: int
+    index: dict[Variable, int] = field(init=False, repr=False, compare=False)
+    holding: list[int] = field(init=False, repr=False, compare=False)
     _by_index: dict[int, Clique] = field(init=False, repr=False, compare=False)
     _children: dict[int, list[int]] = field(init=False, repr=False, compare=False)
-    _holding: dict[Variable, int] = field(init=False, repr=False, compare=False)
     _every: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        cliques = self.cliques
+        index = cliques[0].numbering if cliques else {}
+        if index is None or any(c.numbering is not index for c in cliques):  # built by hand
+            union = frozenset().union(*(c.members for c in cliques))
+            index = {v: i for i, v in enumerate(sorted(union, key=canonical_key))}
+            cliques = tuple(Clique(c.members, c.index, index, sum(1 << index[v] for v in c.members))
+                            for c in cliques)
+        holding = [0] * len(index)
+        for c in cliques:
+            for i in _members(c.bits):
+                holding[i] |= 1 << c.index
         children: dict[int, list[int]] = {}
         for k in sorted(self.parent):
             children.setdefault(self.parent[k], []).append(k)
-        holding: dict[Variable, int] = {}
-        for c in self.cliques:
-            for v in c.members:
-                holding[v] = holding.get(v, 0) | 1 << c.index
-        object.__setattr__(self, "_by_index", {c.index: c for c in self.cliques})
+        object.__setattr__(self, "cliques", cliques)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "holding", holding)
+        object.__setattr__(self, "_by_index", {c.index: c for c in cliques})
         object.__setattr__(self, "_children", children)
-        object.__setattr__(self, "_holding", holding)
         object.__setattr__(self, "_every", sum(1 << k for k in self._by_index))
 
     def clique(self, index: int) -> Clique:
@@ -332,46 +353,47 @@ class StrongJunctionTree:
     def children(self, index: int) -> list[int]:
         return list(self._children.get(index, ()))
 
-    def lowest_holder(self, domain: Iterable[Variable], below: int | None = None) -> Clique | None:
-        """The lowest-index clique holding all of domain (an empty domain fits
-        any), only among indices under ``below`` if given; None if none fits."""
+    def lowest_holder(self, ids: Iterable[int], below: int | None = None) -> Clique | None:
+        """The lowest-index clique holding every variable id in ``ids`` (an empty
+        ``ids`` fits any clique), only among indices under ``below`` if given;
+        None if none fits."""
         bits = self._every if below is None else self._every & (1 << below) - 1
-        for v in domain:
-            bits &= self._holding.get(v, 0)
+        for i in ids:
+            bits &= self.holding[i]
         return self._by_index[(bits & -bits).bit_length() - 1] if bits else None
 
 
-def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
-    """Attach each clique to the lowest-index earlier clique holding its separator.
+def _hosts(tree: StrongJunctionTree) -> Iterator[tuple[Clique, Clique | None]]:
+    """Each non-root clique with the lowest-index clique below it holding the
+    members it shares with the cliques listed before it, or None."""
+    earlier = 0
+    for c in tree.cliques:
+        if c.index != tree.root:
+            yield c, tree.lowest_holder(_members(c.bits & earlier), c.index)
+        earlier |= c.bits
 
-    One pass over the cliques in index order: every clique already seen has
-    a lower index, so the bitsets of the seen cliques holding each variable
-    need no bound, and a member no seen clique holds is not in the separator.
-    """
+
+def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
+    """Attach each clique to the lowest-index earlier clique holding its separator,
+    asking the holder table of the unlinked tree, then linking that tree in index order."""
     ordered = sorted(cliques, key=lambda c: c.index)
     if not ordered:
         raise CompileError("no cliques")
-    seen, holding, parent = 0, {}, {}
-    for c in ordered:
-        if seen:
-            bits = seen
-            for v in c.members:
-                bits &= holding.get(v, seen)
-            if not bits:
-                raise CompileError(f"running intersection violated at clique {c.index}")
-            parent[c.index] = (bits & -bits).bit_length() - 1
-        seen |= 1 << c.index
-        for v in c.members:
-            holding[v] = holding.get(v, 0) | 1 << c.index
-    return StrongJunctionTree(tuple(ordered), parent, ordered[0].index)
+    tree = StrongJunctionTree(tuple(ordered), {}, ordered[0].index)
+    for c, host in _hosts(tree):
+        if host is None:
+            raise CompileError(f"running intersection violated at clique {c.index}")
+        tree.parent[c.index] = host.index
+        tree._children.setdefault(host.index, []).append(c.index)
+    return tree
 
 
 def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
     """Junction property, running intersection, and the strong-root rank test.
 
-    The junction test counts, for every variable v, the cliques holding v
-    minus the tree edges whose two ends both hold v: the cliques holding v
-    form a connected subtree exactly when the count is 1.
+    The junction test counts, for every variable id, the cliques holding it
+    minus the tree edges whose two ends both hold it: the cliques holding a
+    variable form a connected subtree exactly when the count is 1.
 
     An edge (parent C1, child C2) with separator S is strongly ordered when
     every separator member temporally precedes-or-ties every member of C2\\S;
@@ -386,7 +408,7 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
     while stack:
         if (k := stack.pop()) not in reached:
             reached.add(k)
-            stack += tree.children(k)
+            stack += tree._children.get(k, ())
     for k in indices:
         if k not in reached:
             return [Violation("tree", f"clique {k} is not connected to the root")]
@@ -394,29 +416,25 @@ def verify_strong(tree: StrongJunctionTree) -> list[Violation]:
         return [Violation("tree", f"{len(tree.parent)} parent links for {len(indices)} cliques")]
 
     out: list[Violation] = []
-    pieces = {v: bits.bit_count() for v, bits in tree._holding.items()}
-    for child in tree.parent:
-        for v in tree.separator(child):
-            pieces[v] -= 1
-    for v in sorted((v for v, n in pieces.items() if n != 1), key=lambda v: v.name):
-        split = f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts"
-        out.append(Violation("junction", split))
-
-    earlier: set[Variable] = set()
-    for c in tree.cliques:
-        if c.index != tree.root and tree.lowest_holder(c.members & earlier, c.index) is None:
-            why = f"separator of clique {c.index} fits no earlier clique"
-            out.append(Violation("running-intersection", why))
-        earlier |= c.members
-
+    strong: list[Violation] = []  # listed after the junction and running-intersection tests
+    pieces = [bits.bit_count() for bits in tree.holding]  # 0 for an id no clique holds
     for child, par in tree.parent.items():
-        sep = tree.separator(child)
-        rest = tree.clique(child).members - sep
-        for s, w in sorted((s.name, w.name) for s in sep for w in rest if s.rank > w.rank):
+        c, p = tree.clique(child), tree.clique(par)
+        for i in _members(c.bits & p.bits):
+            pieces[i] -= 1
+        sep = c.members & p.members
+        for s, w in sorted((s.name, w.name) for s in sep for w in c.members - sep if s.rank > w.rank):
             why = (f"edge {par}->{child}: separator member {s!r} comes after "
                    f"{w!r}; no ordering of the child respects precedence")
-            out.append(Violation("strong-root", why))
-    return out
+            strong.append(Violation("strong-root", why))
+    vs = list(tree.index)
+    for i in sorted((i for i, n in enumerate(pieces) if n > 1), key=lambda i: vs[i].name):
+        split = f"the cliques holding {vs[i].name!r} split into {pieces[i]} disconnected parts"
+        out.append(Violation("junction", split))
+    for c, host in _hosts(tree):
+        if host is None:
+            out.append(Violation("running-intersection", f"separator of clique {c.index} fits no earlier clique"))
+    return out + strong
 
 
 def compile_diagram(diagram: InfluenceDiagram, heuristic: Heuristic = "min-fill",

@@ -32,12 +32,13 @@ import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .tables import Table, canonical_key, position
+from .tables import Table, canonical_key, from_unique, position
 
 CHANCE = "chance"
 DECISION = "decision"
@@ -120,6 +121,7 @@ class InfluenceDiagram:
     utilities: tuple[Utility, ...]
     index: dict[Variable, int] = field(init=False, repr=False, compare=False)
     decisions: tuple[Variable, ...] = field(init=False, repr=False, compare=False)
+    chance_variables: tuple[Variable, ...] = field(init=False, repr=False, compare=False)  # declaration order
 
     def __post_init__(self):
         order = sorted(self.variables, key=canonical_key)
@@ -128,17 +130,15 @@ class InfluenceDiagram:
             index.setdefault(v, len(index))
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "decisions", tuple(v for v in order if v.is_decision))
+        object.__setattr__(self, "chance_variables", tuple(v for v in self.variables if not v.is_decision))
 
-    @property
-    def chance_variables(self) -> tuple[Variable, ...]:
-        return tuple(v for v in self.variables if not v.is_decision)
-
-    def family(self, v: Variable) -> tuple[Variable, ...]:
-        """Parents of v followed by v itself."""
-        return self.parents[v.name] + (v,)
-
-    def state_space_size(self) -> int:
-        return math.prod(len(v.states) for v in self.variables)
+    @cached_property
+    def factor_ids(self) -> tuple[tuple[int | None, ...], ...]:
+        """The ids of each chance variable's family (parents, then itself), then of
+        each utility's domain; None for an undeclared variable.  Built on first use."""
+        get, parents = self.index.get, self.parents
+        families = [(*map(get, parents.get(v.name, ())), get(v)) for v in self.chance_variables]
+        return tuple(families + [tuple(map(get, u.domain)) for u in self.utilities])
 
 
 class Violation(NamedTuple):
@@ -149,12 +149,32 @@ class Violation(NamedTuple):
         return f"{self.kind}: {self.message}"
 
 
+def _rows_sum_to_one(cpts: Iterable[tuple[Variable, Table]]) -> bool:
+    """Whether every cpt, over its child v, is non-negative with rows within
+    ROW_SUM_TOL / 2 of 1, checked on one (rows, k) array per state count k of v.
+    The margin covers another summation order's rounding: a row accepted here
+    passes the itemized check."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for v, cpt in cpts:
+        vals, axis = cpt.values, position(cpt.domain, v)
+        if axis is None or not (k := vals.shape[axis]):  # not over v, or v has no states
+            return False
+        groups.setdefault(k, []).append(vals.swapaxes(axis, -1).reshape(-1, k))
+    low, high = 1.0 - ROW_SUM_TOL / 2, 1.0 + ROW_SUM_TOL / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN, an infinity or an overflow fails
+        return all(rows.min(initial=0.0) >= 0 and low <= (sums := rows.sum(axis=1)).min(initial=1.0)
+                   and sums.max(initial=1.0) <= high for rows in map(np.concatenate, groups.values()))
+
+
 def validate(diagram: InfluenceDiagram) -> list[Violation]:
     """Check every semantic invariant; returns all violations, empty if valid.
 
     Structural completeness (names resolve, tables have the right shapes) is
     the parser's job; everything semantic lands here so tests can build
-    deliberately broken diagrams.
+    deliberately broken diagrams.  Families and utility domains are compared
+    on ``factor_ids``.  All cpts are accepted at once, with a margin
+    (``_rows_sum_to_one``); if that fails, each cpt over its family runs the
+    per-cpt checks.
     """
     out: list[Violation] = []
     if not diagram.variables:
@@ -184,19 +204,27 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         if v.is_decision and v.name in diagram.parents and diagram.parents[v.name]:
             out.append(Violation("parents", f"decision {v.name!r} must not have parents"))
 
-    for v in chance:
+    # A table's domain is canonical, so it is over the declared ids exactly when
+    # it lists them in id order; only a table that does not runs the set test.
+    nodes, families = list(index), diagram.factor_ids[: len(chance)]
+    accepted = _rows_sum_to_one((v, diagram.cpts[v.name]) for v in chance if v.name in diagram.cpts)
+    for v, ids in zip(chance, families):
         ps = diagram.parents.get(v.name)
         if ps is None:
             out.append(Violation("parents", f"chance variable {v.name!r} has no parent entry"))
             continue
-        if len(set(ps)) != len(ps):
+        known = None not in ids
+        if len(set(ids[:-1] if known else ps)) != len(ps):
             out.append(Violation("parents", f"chance variable {v.name!r} lists a parent twice"))
         cpt = diagram.cpts.get(v.name)
         if cpt is None:
             out.append(Violation("cpt", f"chance variable {v.name!r} has no cpt"))
             continue
-        if set(cpt.domain) != set(ps) | {v}:
+        if not (known and cpt.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
+                and set(cpt.domain) != set(ps) | {v}:
             out.append(Violation("cpt", f"cpt of {v.name!r} is not over its family"))
+            continue
+        if accepted:
             continue
         vals = cpt.values
         with np.errstate(over="ignore", invalid="ignore"):  # e.g. rows 1e308 1e308, inf -inf
@@ -215,13 +243,15 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             out.append(Violation("normalization", why))
 
     bound = 0.0  # bounds |total utility| over every configuration
-    for u in diagram.utilities:
+    for u, ids in zip(diagram.utilities, diagram.factor_ids[len(chance) :]):
         if u.name in seen_names:
             out.append(Violation("name", f"duplicate utility name {u.name!r}"))
         seen_names.add(u.name)
-        if len(set(u.domain)) != len(u.domain):
+        known = None not in ids
+        if len(set(ids if known else u.domain)) != len(u.domain):
             out.append(Violation("utility", f"utility {u.name!r} repeats a variable in its domain"))
-        elif set(u.table.domain) != set(u.domain):
+        elif not (known and u.table.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
+                and set(u.table.domain) != set(u.domain):
             out.append(Violation("utility", f"table of utility {u.name!r} is not over its domain"))
         elif not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
@@ -229,25 +259,23 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             bound += float(np.max(np.abs(u.table.values), initial=0.0))
     if not math.isfinite(bound):
         out.append(Violation("utility", "the utilities' largest magnitudes overflow when summed"))
-    used = [*(p for v in chance for p in diagram.parents.get(v.name, ())),
-            *(x for u in diagram.utilities for x in u.domain)]
-    for x in dict.fromkeys(x for x in used if x not in index):  # first use first
-        out.append(Violation("undeclared", f"variable {x.name!r} is used but not declared"))
+    if any(None in ids for ids in diagram.factor_ids):
+        used = [*(p for v in chance for p in diagram.parents.get(v.name, ())),
+                *(x for u in diagram.utilities for x in u.domain)]
+        for x in dict.fromkeys(x for x in used if x not in index):  # first use first
+            out.append(Violation("undeclared", f"variable {x.name!r} is used but not declared"))
 
-    # Kahn's sweep over chance arcs plus decision->child arcs, on the diagram's
-    # ids: kids[i] are the chance children of nodes[i], the variable with id i.
-    # An undeclared parent (reported above) has no id, so its arcs are skipped.
-    # Bit k of reach[i] is set when decisions[k] is nodes[i] or has a path to
-    # it, so one pass over the arcs finds every decision that influences a variable.
+    # Kahn's sweep over the chance arcs (an undeclared parent's are skipped), on
+    # the diagram's ids: kids[i] are the chance children of nodes[i].  Bit k of
+    # reach[i] is set when decisions[k] is nodes[i] or has a path to it.
     kids: list[list[int]] = [[] for _ in index]
     indegree = [0] * len(index)
-    for c in chance:
-        i = index[c]
-        for p in diagram.parents.get(c.name, ()):
-            if (j := index.get(p)) is not None:
+    for *ps, i in families:
+        for j in ps:
+            if j is not None:
                 kids[j].append(i)
                 indegree[i] += 1
-    nodes, reach = list(index), [0] * len(index)
+    reach = [0] * len(index)
     for k, d in enumerate(decisions):
         reach[index[d]] |= 1 << k
     ready = [i for i in range(len(nodes)) if not indegree[i]]
@@ -307,7 +335,7 @@ def parse_model(text: str) -> InfluenceDiagram:
     from the line's one ``split()``; a line is its (number, body) pair, and
     the error column is worked out only when a check fails.
     """
-    declared: dict[Variable, tuple[int, str]] = {}  # declaration order
+    declared: list[tuple[Variable, tuple[int, str]]] = []  # (variable, line), in declaration order
     by_name: dict[str, Variable] = {}
     names: set[str] = set()  # variables and utilities share one namespace
     cpt_lines: dict[str, tuple[tuple[int, str], list[Variable], list[float]]] = {}
@@ -356,7 +384,7 @@ def parse_model(text: str) -> InfluenceDiagram:
 
     def table(line: tuple[int, str], what: str, dom: list[Variable], vals: list[float]) -> Table:
         try:
-            return Table.from_flat(dom, vals)
+            return from_unique(tuple(dom), vals)  # the caller checked dom's names
         except (ValueError, MemoryError) as e:  # e.g. more axes than numpy's 64
             raise _error(line, f"{what} cannot be stored as a table: {e}", 1) from None
 
@@ -391,7 +419,7 @@ def parse_model(text: str) -> InfluenceDiagram:
             if end + 2 < len(tokens):
                 raise _error(line, f"unexpected token {tokens[end + 2]!r}", end + 2)
             v = chance_var(name, labels, k) if head == CHANCE else decision_var(name, labels, k)
-            declared[v] = line
+            declared.append((v, line))
             by_name[name] = v
         elif head == "cpt":
             if len(tokens) < 2:
@@ -413,7 +441,7 @@ def parse_model(text: str) -> InfluenceDiagram:
             expected = math.prod(len(v.states) for v in dom)
             if len(vals) != expected:
                 raise _error(line, f"utility {uname!r} needs {expected} values, found {len(vals)}", 1)
-            if len(set(dom)) != len(dom):
+            if len(set(tokens[3:at])) != len(dom):  # one variable per name
                 raise _error(line, f"utility {uname!r} repeats a variable", 1)
             utilities.append(Utility(uname, tuple(dom), table(line, f"utility {uname!r}", dom, vals)))
         else:
@@ -421,7 +449,7 @@ def parse_model(text: str) -> InfluenceDiagram:
 
     parents: dict[str, tuple[Variable, ...]] = {}
     cpts: dict[str, Table] = {}
-    for v, declaration in declared.items():
+    for v, declaration in declared:
         if v.is_decision:
             continue
         entry = cpt_lines.get(v.name)
@@ -429,7 +457,7 @@ def parse_model(text: str) -> InfluenceDiagram:
             raise _error(declaration, f"missing cpt for chance variable {v.name!r}", 1)
         line, given, vals = entry
         dom = given + [v]
-        if len(set(dom)) != len(dom):
+        if len({w.name for w in dom}) != len(dom):
             raise _error(line, f"cpt of {v.name!r} repeats a variable", 1)
         expected = math.prod(len(w.states) for w in dom)
         if len(vals) != expected:
@@ -437,7 +465,7 @@ def parse_model(text: str) -> InfluenceDiagram:
         parents[v.name] = tuple(given)
         cpts[v.name] = table(line, f"cpt of {v.name!r}", dom, vals)
 
-    return InfluenceDiagram(tuple(declared), parents, cpts, tuple(utilities))
+    return InfluenceDiagram(tuple(v for v, _ in declared), parents, cpts, tuple(utilities))
 
 
 def _fmt(x: float) -> str:

@@ -9,6 +9,7 @@ temporal order directly.  Small models only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +73,7 @@ def _blocks(order: list[Variable]) -> list[tuple[str, list[Variable]]]:
 
 class _Recursion:
     def __init__(self, diagram: InfluenceDiagram, cap: int):
-        size = diagram.state_space_size()
+        size = math.prod(len(v.states) for v in diagram.variables)
         if size > cap:
             raise OracleCapError(f"state space {size} exceeds cap {cap}")
         self.order = list(diagram.index)  # temporal order: a decision's past is a prefix

@@ -93,13 +93,16 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
 
     Unassigned cliques keep the unit probability / null utility potentials,
     so globally the tree still represents the model's joint and total utility.
+    A compiled tree numbers the variables by the diagram's ids; one built by hand has its own.
     """
     unit, null = Table.unit(), Table.null()  # immutable, so every clique shares them
     states = {c.index: CliqueState(unit, null) for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
-    domains = [f.domain if isinstance(f, Utility) else diagram.family(f) for f in factors]
-    for f, domain in zip(factors, domains):
-        host = tree.lowest_holder(domain)
+    for f, ids in zip(factors, diagram.factor_ids):
+        domain = f.domain if isinstance(f, Utility) else diagram.parents[f.name] + (f,)
+        if tree.index is not diagram.index:
+            ids = [tree.index.get(v) for v in domain]
+        host = None if None in ids else tree.lowest_holder(ids)
         if host is None:
             what = "domain of utility" if isinstance(f, Utility) else "family of"
             names = sorted(v.name for v in domain)

@@ -108,14 +108,7 @@ class Table:
         domain = tuple(domain)
         if len(set(domain)) != len(domain):
             raise ValueError("domain repeats a variable")
-        shape = tuple(len(v.states) for v in domain)
-        vals = np.array(flat, dtype=np.float64).reshape(shape)
-        canon = _canonical(domain)
-        if canon != domain:
-            vals = vals.transpose([domain.index(v) for v in canon])
-        if vals.size >= STREAM_CELLS:  # keep C order, which _fresh keeps only for small tables
-            return cls(canon, vals)
-        return _fresh(canon, vals)
+        return from_unique(domain, flat)
 
     @classmethod
     def scalar(cls, x: float) -> "Table":
@@ -155,6 +148,17 @@ class Table:
     def __repr__(self):
         names = ",".join(v.name for v in self.domain)
         return f"Table({names}; {self.values.tolist()!r})"
+
+
+def from_unique(domain: tuple["Variable", ...], flat) -> Table:
+    """``Table.from_flat`` for a domain that lists each variable once, unchecked."""
+    vals = np.array(flat, dtype=np.float64).reshape(tuple(len(v.states) for v in domain))
+    canon = _canonical(domain)
+    if canon != domain:
+        vals = vals.transpose([domain.index(v) for v in canon])
+    if vals.size >= STREAM_CELLS:  # keep C order, which _fresh keeps only for small tables
+        return Table(canon, vals)
+    return _fresh(canon, vals)
 
 
 def _fresh(domain: tuple["Variable", ...], values) -> Table:

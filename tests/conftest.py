@@ -122,6 +122,11 @@ def var(model, name):
     return next(v for v in model.variables if v.name == name)
 
 
+def family(model, v):
+    """Parents of v followed by v itself."""
+    return model.parents[v.name] + (v,)
+
+
 def alpha(order):
     """The number of each variable in an elimination order: the i-th eliminated gets |U|-i+1."""
     n = len(order.sequence)

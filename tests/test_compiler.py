@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from idjt import (
 from idjt import compiler
 from idjt.compiler import Clique, moral_to_dot, tree_to_dot, triangulated_to_dot
 from idjt.randmodels import random_model
+from idjt.tables import canonical_key
 
 from conftest import (
     GOLDEN_CLIQUES,
@@ -37,6 +39,7 @@ from conftest import (
     GOLDEN_SEQUENCE,
     alpha,
     edge_names,
+    family,
     graph_of,
 )
 
@@ -91,7 +94,7 @@ def test_fixture_model_moralizes_to_the_golden_graph(golden_model, golden):
 def test_every_family_and_utility_domain_complete_in_moral_graph(golden_model):
     g = moralize(golden_model)
     for v in golden_model.chance_variables:
-        fam = golden_model.family(v)
+        fam = family(golden_model, v)
         for a, b in itertools.combinations(fam, 2):
             assert frozenset((a, b)) in g.edges
     for u in golden_model.utilities:
@@ -290,7 +293,7 @@ def _reference_triangulate(graph, order):
 
 def _reference_moralize(diagram):
     """The set-based moral edges: every family and utility domain completed pair by pair."""
-    completed = [diagram.family(v) for v in diagram.chance_variables]
+    completed = [family(diagram, v) for v in diagram.chance_variables]
     completed += [u.domain for u in diagram.utilities]
     return {frozenset(e) for c in completed for e in itertools.combinations(c, 2)}
 
@@ -474,6 +477,19 @@ def test_a_given_sequence_that_repeats_a_variable_keeps_its_message(golden):
         strong_elimination_order(graph, given=repeated)
 
 
+@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
+def test_an_order_keeps_its_ids_only_on_the_graph_that_numbered_them(run):
+    # a vertex z that sorts first shifts every id by one: the order is mapped again and misses z
+    a, b, c, z = (chance_var(n, ("0", "1"), 0) for n in ("a", "b", "c", "_z"))
+    edges = frozenset({frozenset((a, b)), frozenset((b, c))})
+    graph = graph_of((a, b, c), edges)
+    order = strong_elimination_order(graph)
+    assert order.numbering is graph.index and [graph.vertices[i] for i in order.ids] == list(order.sequence)
+    assert _pairs(cliques_of(graph_of((a, b, c), edges), order)) == _pairs(cliques_of(graph, order))
+    with pytest.raises(OrderError, match="does not cover"):
+        run(graph_of((z, a, b, c), edges), order)
+
+
 def test_every_pass_hands_on_the_diagram_numbering(golden_model):
     graph = moralize(golden_model)
     assert graph.index is golden_model.index
@@ -610,11 +626,11 @@ def test_initialize_hosts_like_a_linear_scan():
 
         hosted = {k: ([], []) for k in run.states}
         for v in model.chance_variables:
-            hosted[scan(model.family(v))][0].append(v)
+            hosted[scan(family(model, v))][0].append(v)
         for u in model.utilities:
             hosted[scan(u.domain)][1].append(u)
         for k, (cpts, utilities) in hosted.items():
-            want_phi = set().union(*(model.family(v) for v in cpts))
+            want_phi = set().union(*(family(model, v) for v in cpts))
             want_psi = set().union(*(u.domain for u in utilities))
             assert set(run.states[k].phi.domain) == want_phi
             assert set(run.states[k].psi.domain) == want_psi
@@ -628,8 +644,20 @@ def test_lowest_holders_tells_apart_variables_that_share_a_name():
                Clique(frozenset({three, y}), 3))
     tree = StrongJunctionTree(cliques, {2: 1, 3: 2}, 1)
     queries = [({three}, None), ({two}, None), ({three, y}, None), ({two, y}, None), ({three}, 2)]
-    holders = [tree.lowest_holder(d, below) for d, below in queries]
+    assert len(tree.index) == 3  # the two x's are two variables with two ids
+    holders = [tree.lowest_holder([tree.index[v] for v in d], below) for d, below in queries]
     assert [h.index if h else None for h in holders] == [2, 1, 3, 1, None]
+
+
+def test_a_hand_built_tree_numbers_its_members_once_in_canonical_order(golden):
+    compiled, _ = _golden_tree(golden)
+    tree = StrongJunctionTree(tuple(Clique(c.members, c.index) for c in compiled.cliques),
+                              compiled.parent, compiled.root)
+    union = frozenset().union(*(c.members for c in compiled.cliques))
+    assert list(tree.index) == sorted(union, key=canonical_key) and tree.index is not compiled.index
+    assert all(c.numbering is tree.index for c in tree.cliques)
+    holders = {v: tree.holding[i] for v, i in tree.index.items()}
+    assert holders == {v: compiled.holding[compiled.index[v]] for v in union}
 
 
 def test_tree_links_follow_the_elimination_tree():
@@ -778,7 +806,7 @@ def test_compiled_random_models_pass_all_structure_checks():
         assert indices[0] == 1
         # every family and utility domain fits inside some clique
         for v in model.chance_variables:
-            fam = set(model.family(v))
+            fam = set(family(model, v))
             assert any(fam <= c.members for c in tree.cliques)
         for u in model.utilities:
             assert any(set(u.domain) <= c.members for c in tree.cliques)
@@ -867,6 +895,120 @@ def test_running_intersection_matches_the_pairwise_scan(golden):
             assert _running_intersection(shuffled) == expected
             flagged += bool(expected)
     assert flagged > 0
+
+
+def _reference_build_strong_tree(cliques):
+    """The former build_strong_tree, on holder bitsets keyed by Variable: (parent, root)."""
+    ordered = sorted(cliques, key=lambda c: c.index)
+    seen, holding, parent = 0, {}, {}
+    for c in ordered:
+        if seen:
+            bits = seen
+            for v in c.members:
+                bits &= holding.get(v, seen)
+            if not bits:
+                raise CompileError(f"running intersection violated at clique {c.index}")
+            parent[c.index] = (bits & -bits).bit_length() - 1
+        seen |= 1 << c.index
+        for v in c.members:
+            holding[v] = holding.get(v, 0) | 1 << c.index
+    return parent, ordered[0].index
+
+
+def _reference_verify_strong(tree):
+    """The former verify_strong, on holder bitsets keyed by Variable."""
+    holding = {}
+    for c in tree.cliques:
+        for v in c.members:
+            holding[v] = holding.get(v, 0) | 1 << c.index
+    every = sum(1 << k for k in {c.index for c in tree.cliques})
+    indices = [c.index for c in tree.cliques]
+    if tree.root not in indices:
+        return [("tree", f"root {tree.root} is not a clique index")]
+    reached, stack = set(), [tree.root]
+    while stack:
+        if (k := stack.pop()) not in reached:
+            reached.add(k)
+            stack += tree.children(k)
+    for k in indices:
+        if k not in reached:
+            return [("tree", f"clique {k} is not connected to the root")]
+    if len(tree.parent) != len(indices) - 1:
+        return [("tree", f"{len(tree.parent)} parent links for {len(indices)} cliques")]
+    out = []
+    pieces = {v: bits.bit_count() for v, bits in holding.items()}
+    for child in tree.parent:
+        for v in tree.separator(child):
+            pieces[v] -= 1
+    for v in sorted((v for v, n in pieces.items() if n != 1), key=lambda v: v.name):
+        out.append(("junction", f"the cliques holding {v.name!r} split into {pieces[v]} disconnected parts"))
+    earlier = set()
+    for c in tree.cliques:
+        if c.index != tree.root:
+            bits = every & (1 << c.index) - 1
+            for v in c.members & earlier:
+                bits &= holding.get(v, 0)
+            if not bits:
+                out.append(("running-intersection", f"separator of clique {c.index} fits no earlier clique"))
+        earlier |= c.members
+    for child, par in tree.parent.items():
+        sep = tree.separator(child)
+        rest = tree.clique(child).members - sep
+        for s, w in sorted((s.name, w.name) for s in sep for w in rest if s.rank > w.rank):
+            out.append(("strong-root", f"edge {par}->{child}: separator member {s!r} comes after "
+                                       f"{w!r}; no ordering of the child respects precedence"))
+    return out
+
+
+def _assert_tree_matches_the_reference(cliques):
+    try:
+        want = _reference_build_strong_tree(cliques)
+    except CompileError as e:
+        with pytest.raises(CompileError, match=f"^{e}$"):
+            build_strong_tree(cliques)
+        return
+    tree = build_strong_tree(cliques)
+    assert list(tree.parent.items()) == list(want[0].items())  # filled in the same order
+    assert tree.root == want[1]
+    assert verify_strong(tree) == _reference_verify_strong(tree)
+    rebuilt = StrongJunctionTree(tree.cliques, dict(tree.parent), tree.root)  # links made at construction
+    assert all(tree.children(c.index) == rebuilt.children(c.index) for c in tree.cliques)
+
+
+def test_tree_assembly_matches_the_reference_on_the_sweep_structures(golden_model, tiny_model):
+    # the 1000 random structures of the benchmark's sweep, then golden and tiny
+    models = [random_model(i, structural_zeros=i % 2 == 1) for i in range(1000)]
+    for model in models + [golden_model, tiny_model]:
+        graph = moralize(model)
+        order = strong_elimination_order(graph)
+        tri, _ = triangulate(graph, order)
+        _assert_tree_matches_the_reference(cliques_of(tri, order))
+
+
+def test_tree_checks_match_the_reference_on_hand_built_and_mutated_trees(golden):
+    tree, _ = _golden_tree(golden)
+    trees = [tree, *(_rerooted(tree, c.index) for c in tree.cliques)]
+    for child in tree.parent:
+        for c in tree.cliques:
+            if c.index != child:  # rewired, including into the child's own subtree
+                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1))
+    trees.append(StrongJunctionTree(tree.cliques, dict(list(tree.parent.items())[1:]), 1))
+    trees.append(StrongJunctionTree(tree.cliques, tree.parent, 99))
+    for t in trees:
+        for cliques in (t.cliques, t.cliques[::-1], t.cliques[1::2] + t.cliques[::2]):
+            for cs in (cliques, tuple(Clique(c.members, c.index) for c in cliques)):  # numbered, by hand
+                shuffled = StrongJunctionTree(cs, t.parent, t.root)
+                assert verify_strong(shuffled) == _reference_verify_strong(shuffled)
+    kinds = Counter(p.kind for t in trees for p in verify_strong(t))
+    assert all(kinds[k] for k in ("tree", "junction", "running-intersection", "strong-root")), kinds
+    a, b, c = (chance_var(n, ("0", "1"), 0) for n in "abc")
+    xs = [chance_var(f"x{i}", ("0", "1"), 0) for i in range(3001)]
+    for cliques in ([Clique(frozenset({a}), 1)],
+                    [Clique(frozenset({a, b}), 1), Clique(frozenset({c}), 2)],
+                    [Clique(frozenset({a}), 1), Clique(frozenset({b, c}), 2), Clique(frozenset({a, c}), 3)],
+                    [Clique(frozenset({xs[i - 1], xs[i]}), i) for i in range(3000, 0, -1)],
+                    list(tree.cliques)[::-1]):
+        _assert_tree_matches_the_reference(cliques)
 
 
 def test_verify_strong_accepts_a_3000_clique_path():

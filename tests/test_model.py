@@ -25,9 +25,10 @@ from idjt import (
     validate,
     write_model,
 )
+from idjt.model import ROW_SUM_TOL, _rows_sum_to_one
 from idjt.randmodels import random_model
 
-from conftest import var
+from conftest import MODELS, family, var
 
 TINY = """
 decision D states d1 d2 index 1
@@ -89,6 +90,18 @@ def test_wrong_value_count_in_cpt():
 def test_wrong_value_count_in_utility():
     text = TINY + "utility extra over x D : 1 2 3\n"
     with pytest.raises(ParseError, match="needs 4 values"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("line, error", [
+    ("cpt x given D D : 1 0 1 0 1 0 1 0", "line 4, column 5: cpt of 'x' repeats a variable"),
+    ("cpt x given x : 1 0 1 0", "line 4, column 5: cpt of 'x' repeats a variable"),
+    ("utility twice over x x : 1 2 3 4", "line 6, column 9: utility 'twice' repeats a variable"),
+])
+def test_a_table_that_repeats_a_variable_is_a_syntax_error(line, error):
+    # the parser checks the names once; the table is then built without a second check
+    text = TINY.replace("cpt x given D : 0.8 0.2 0.4 0.6", line) if line.startswith("cpt") else TINY + line
+    with pytest.raises(ParseError, match=f"^{error}$"):
         parse_model(text)
 
 
@@ -432,13 +445,13 @@ def _with_fault(model, fault, k):
     elif fault == "decision parents":
         parents[model.decisions[k % len(model.decisions)].name] = (c,)
     elif fault == "cpt domain":
-        dom = tuple(set(model.family(c)) ^ {w})
+        dom = tuple(set(family(model, c)) ^ {w})
         cells = math.prod(len(v.states) for v in dom)
         cpts[c.name] = Table.from_flat(dom, np.full(cells, 1.0 / len(c.states)))
     elif fault == "negative cpt entry":
-        flat = cpts[c.name].to_flat(model.family(c)).copy()
+        flat = cpts[c.name].to_flat(family(model, c)).copy()
         flat[k % flat.size] = -0.5
-        cpts[c.name] = Table.from_flat(model.family(c), flat)
+        cpts[c.name] = Table.from_flat(family(model, c), flat)
     else:  # variable dropped
         del variables[k % len(variables)]
     return InfluenceDiagram(tuple(variables), parents, cpts, tuple(utilities))
@@ -475,7 +488,8 @@ def _reference_cpt_violations(diagram):
     return out
 
 
-_CPT_MUTATIONS = ("nan", "+inf", "-inf", "negative", "off 2e-9", "off 0.5e-9", "overflow", "one state")
+_CPT_MUTATIONS = ("nan", "+inf", "-inf", "negative", "off 2e-9", "off 0.5e-9", "overflow", "one state",
+                  "off 0.75e-9", "edge +tol", "edge -tol")
 
 
 def _mutate_cpt(model, rng, kind):
@@ -483,6 +497,8 @@ def _mutate_cpt(model, rng, kind):
 
     ``one state`` instead adds a sink ``z`` with one state, one random parent
     and rows of 1.0, half the time with one row off by 0.5, 2e-9 or 0.5e-9.
+    ``edge +tol`` and ``edge -tol`` set one entry so that its row sums to
+    1 + ROW_SUM_TOL or 1 - ROW_SUM_TOL as rounded, or to a neighbouring double.
     """
     cpts = dict(model.cpts)
     if kind == "one state":
@@ -502,21 +518,42 @@ def _mutate_cpt(model, rng, kind):
     cell = row + (rng.randrange(rows.shape[-1]),)
     if kind == "overflow":
         rows[row] = [rng.uniform(0.9e308, 1.7e308) for _ in range(rows.shape[-1])]
+    elif kind.startswith("edge"):
+        target = 1.0 + (ROW_SUM_TOL if kind == "edge +tol" else -ROW_SUM_TOL)
+        rows[cell] = 0.0
+        rows[cell] = rng.choice([np.nextafter(target, 0.0), target, np.nextafter(target, 2.0)]) - rows[row].sum()
     else:
         new = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "negative": -0.25,
-               "off 2e-9": rows[cell] + 2e-9, "off 0.5e-9": rows[cell] + 0.5e-9}[kind]
+               "off 2e-9": rows[cell] + 2e-9, "off 0.5e-9": rows[cell] + 0.5e-9,
+               "off 0.75e-9": rows[cell] + 0.75e-9}[kind]
         rows[cell] = new
     cpts[v.name] = Table(cpt.domain, vals)
     return InfluenceDiagram(model.variables, model.parents, cpts, model.utilities)
 
 
+def _pure_chain(n):
+    """x0 -> x1 -> ... -> x(n-1), all observed at stage 0, with 2, 3 and 4 states in turn."""
+    rng = np.random.default_rng(n)
+    xs = [chance_var(f"x{i}", [str(k) for k in range(2 + i % 3)], 0) for i in range(n)]
+    parents = {"x0": (), **{f"x{i}": (xs[i - 1],) for i in range(1, n)}}
+    cpts = {}
+    for v in xs:
+        family = [*parents[v.name], v]
+        rows = rng.uniform(0.05, 1.0, size=(math.prod(len(w.states) for w in family[:-1]), len(v.states)))
+        cpts[v.name] = Table.from_flat(family, (rows / rows.sum(axis=1, keepdims=True)).ravel())
+    return InfluenceDiagram(tuple(xs), parents, cpts, ())
+
+
 def test_cpt_acceptance_matches_the_itemized_checks():
-    # validate accepts a cpt with one reduction and runs the itemized checks
-    # only when that fails; the violations must be those of the checks alone
+    # validate accepts every cpt at once, with a margin, and runs the itemized
+    # checks only when that fails; the violations must be those of the checks alone
     rng = random.Random(15)
     found = Counter()
-    for seed in range(320):
-        model = random_model(seed, structural_zeros=seed % 2 == 1)
+    chain = _pure_chain(601)  # children with 2, 3 and 4 states: three groups of rows
+    assert validate(chain) == [] and _accepted_at_once(chain)
+    models = [(seed, random_model(seed, structural_zeros=seed % 2 == 1)) for seed in range(320)]
+    assert all(_accepted_at_once(model) for _, model in models)
+    for seed, model in models + [("chain", chain)] * 2:
         for kind in _CPT_MUTATIONS:
             mutant = _mutate_cpt(model, rng, kind)
             states = [("states", "variable 'z' needs at least 2 states")] if kind == "one state" else []
@@ -525,12 +562,36 @@ def test_cpt_acceptance_matches_the_itemized_checks():
                 assert validate(mutant) == want, (seed, kind)
             found.update((kind, v[0]) for v in want)
             found[kind, "accepted"] += want == states
+            found[kind, "accepted at once"] += _accepted_at_once(mutant)
     for kind in ("nan", "+inf", "-inf", "negative"):
-        assert found[kind, "cpt"] == 320, found
+        assert found[kind, "cpt"] == 322, found
     for kind in ("off 2e-9", "overflow"):
-        assert found[kind, "normalization"] == 320, found
-    assert found["off 0.5e-9", "accepted"] == 320, found
-    assert found["one state", "normalization"] and found["one state", "accepted"], found
+        assert found[kind, "normalization"] == 322, found
+    assert found["off 0.5e-9", "accepted"] == 322, found
+    # off by more than half the tolerance: the itemized checks accept what the batch rejects
+    assert found["off 0.75e-9", "accepted"] == 322 and not found["off 0.75e-9", "accepted at once"], found
+    for kind in ("edge +tol", "edge -tol", "one state"):
+        assert found[kind, "normalization"] and found[kind, "accepted"], found
+    assert not found["edge +tol", "accepted at once"] and not found["edge -tol", "accepted at once"]
+
+
+def test_cpt_violations_keep_their_place_among_the_family_checks():
+    # a's rows are off, x lists a parent twice, y's cpt is negative and z has no cpt:
+    # each variable's violations come in declaration order, whichever check found them
+    a, x, y, z = (chance_var(n, ("0", "1"), 0) for n in "axyz")
+    cpts = {"a": Table.from_flat([a], [0.5, 0.6]), "x": Table.from_flat([a, x], [0.5] * 4),
+            "y": Table.from_flat([y], [-0.5, 1.5])}
+    parents = {"a": (), "x": (a, a), "y": (), "z": ()}
+    assert validate(InfluenceDiagram((a, x, y, z), parents, cpts, ())) == [
+        ("normalization", "cpt rows of 'a' must sum to 1 (found 1.1)"),
+        ("parents", "chance variable 'x' lists a parent twice"),
+        ("cpt", "cpt of 'y' has negative entries"),
+        ("cpt", "chance variable 'z' has no cpt"),
+    ]
+
+
+def _accepted_at_once(diagram):
+    return _rows_sum_to_one([(v, diagram.cpts[v.name]) for v in diagram.chance_variables])
 
 
 def test_a_zero_state_variable_is_reported_without_raising():
@@ -658,6 +719,31 @@ def test_validate_walks_each_arc_a_bounded_number_of_times(monkeypatch):
     monkeypatch.setattr(Variable, "__hash__", counting)
     assert validate(diagram) == []
     assert calls <= 20 * (len(xs) + len(ds) + 2 * m)
+
+
+HASHES_BEFORE_IDS = 26_992  # the same run when validate and the tree passes keyed sets by Variable
+
+
+def test_the_pipeline_hashes_half_as_often_as_before_ids(monkeypatch):
+    # parse -> validate -> compile -> solve over golden and 200 seeded draws;
+    # each pass compares ids from diagram.index instead of sets of variables
+    texts = [(MODELS / "golden.idm").read_text()]
+    texts += [write_model(random_model(i, structural_zeros=i % 2 == 1)) for i in range(200)]
+    calls = 0
+    hash_ = Variable.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return hash_(self)
+
+    monkeypatch.setattr(Variable, "__hash__", counting)
+    for text in texts:
+        diagram = parse_model(text)
+        assert validate(diagram) == []
+        tree, *_ = compile_diagram(diagram)
+        solve(tree, diagram)
+    assert calls <= HASHES_BEFORE_IDS // 2, calls
 
 
 # ---------------------------------------------------------------------------

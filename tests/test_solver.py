@@ -31,7 +31,7 @@ from idjt.solver import CliqueState, extract_policies
 from idjt.oracle import brute_force, joint_probability, rollout, total_utility
 from idjt.randmodels import random_model
 
-from conftest import GOLDEN_POLICY_CLIQUES, global_pair, var
+from conftest import GOLDEN_POLICY_CLIQUES, family, global_pair, var
 
 
 def _solved(model):
@@ -69,7 +69,7 @@ def test_assignment_goes_to_lowest_index_clique(golden_model):
     # e's family {c, d, e} fits only clique 10; b's family fits the root
     e = var(golden_model, "e")
     assert e in run.states[10].phi.domain
-    assert set(run.states[1].phi.domain) >= set(golden_model.family(var(golden_model, "b")))
+    assert set(run.states[1].phi.domain) >= set(family(golden_model, var(golden_model, "b")))
 
 
 def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
@@ -85,6 +85,16 @@ def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
     collect(run)  # absorbing replaces the parent's potentials, never writes into them
     assert float(unit.values) == 1.0 and float(null.values) == 0.0
     assert meu(run) == solve(compile_diagram(tiny_model)[0], tiny_model).meu
+
+
+def test_initialize_places_factors_on_a_hand_built_tree_by_its_own_numbering(tiny_model):
+    # a variable that sorts before D shifts the tree's ids away from the diagram's
+    x, d, a = var(tiny_model, "x"), var(tiny_model, "D"), chance_var("a", ("0", "1"), 0)
+    tree = StrongJunctionTree((Clique(frozenset({a, d}), 1), Clique(frozenset({d, x}), 2)), {2: 1}, 1)
+    assert tree.index == {a: 0, d: 1, x: 2}
+    run = initialize(tree, tiny_model)
+    assert set(run.states[2].phi.domain) == {d, x} and set(run.states[2].psi.domain) == {x}
+    assert run.states[1].phi.domain == () and run.states[1].psi.is_null()
 
 
 def test_initialize_names_the_factor_no_clique_holds(tiny_model):

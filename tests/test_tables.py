@@ -63,6 +63,11 @@ def test_extend_then_sum_scales_by_state_count():
     assert sum_out(wide, C3).equals(t([A], [0.75, 1.5]))
 
 
+def test_from_flat_rejects_a_domain_that_repeats_a_variable():
+    with pytest.raises(ValueError, match="^domain repeats a variable$"):
+        Table.from_flat([A, A], [1, 2, 3, 4])
+
+
 def test_extend_missing_variable_errors():
     with pytest.raises(ValueError, match="missing"):
         extend(t([A, B], [1, 2, 3, 4]), {A})
