@@ -10,13 +10,14 @@ collect pass: on every edge the separator temporally precedes the rest of the
 child clique.
 
 The diagram owns the vertex numbering (``InfluenceDiagram.index``, 0..n-1 in
-canonical (rank, name) order) and each pass hands it on: moralization reads
-the family and utility-domain ids, a chosen order keeps its ids, and each
-clique carries its members as a bitset over them.  A neighbourhood N(v) is
-one ``int`` bitset over those ids, so no set operation calls
-``Variable.__hash__``.  The fill count of v is half the sum over a in N(v) of
-``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
-neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
+canonical (rank, name) order) and every structure is built with it:
+moralization reads the family and utility-domain ids, an order holds its
+sequence as ids, and a clique its members as a bitset over them.  A pass given
+an order numbered by another graph raises rather than mapping it again.  A
+neighbourhood N(v) is one ``int`` bitset over those ids, so no set operation
+calls ``Variable.__hash__``.  The fill count of v is half the sum over a in
+N(v) of ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into
+each neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
 bitset of clique indices per id, and answers one query from it: the
 lowest-index clique holding a set of ids.
 """
@@ -30,7 +31,6 @@ from itertools import groupby
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .model import InfluenceDiagram, Variable, Violation
-from .tables import canonical_key
 
 
 class CompileError(Exception):
@@ -98,8 +98,8 @@ class EliminationOrder:
     """
 
     sequence: tuple[Variable, ...]
-    numbering: dict[Variable, int] | None = field(default=None, repr=False, compare=False)
-    ids: tuple[int, ...] = field(default=(), repr=False, compare=False)  # the sequence, over numbering
+    numbering: dict[Variable, int] = field(repr=False, compare=False)
+    ids: tuple[int, ...] = field(repr=False, compare=False)  # the sequence, over numbering
 
     def __post_init__(self):
         for a, b in zip(self.sequence, self.sequence[1:]):
@@ -143,8 +143,9 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
     heuristic greedily picks the next vertex on the evolving (partially
     eliminated, fill-completed) graph, ranking candidates by (fill count,
     clique weight, name) under min-fill and by (clique weight, fill count,
-    name) under min-weight.  A ``given`` sequence bypasses the heuristic but
-    is still checked against the stage constraint.
+    name) under min-weight.  A ``given`` sequence bypasses the heuristic; it
+    must be a permutation of the vertices, is mapped to ids once, and is still
+    checked against the stage constraint.
 
     The greedy runs on vertex ids and bitsets.  With d = |N(v)|, the fill
     count of the module docstring equals (d(d-1) - sum over a in N(v) of
@@ -160,7 +161,7 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
             raise OrderError("given sequence is not a permutation of the variables")
         if len(given) != len(graph.index):
             raise OrderError("sequence repeats a variable")
-        return EliminationOrder(tuple(given))
+        return EliminationOrder(tuple(given), graph.index, tuple(graph.index[v] for v in given))
 
     vs = graph.vertices
     adj, sizes = list(graph.adj), [len(v.states) for v in vs]
@@ -195,14 +196,11 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
     return EliminationOrder(tuple(vs[i] for i in sequence), graph.index, tuple(sequence))
 
 
-def _ids(graph: MoralGraph, order: EliminationOrder) -> Sequence[int]:
-    """The vertex ids of the order's sequence, which must hold each vertex once."""
-    if order.numbering is graph.index:
-        return order.ids
-    ids = [graph.index.get(v) for v in order.sequence]
-    if None in ids or len(ids) != len(graph.index) or len(set(ids)) != len(ids):
-        raise OrderError("order does not cover the graph's vertices once")
-    return ids
+def _ids(graph: MoralGraph, order: EliminationOrder) -> tuple[int, ...]:
+    """The vertex ids of the order's sequence, which must be numbered by the graph."""
+    if order.numbering is not graph.index:
+        raise OrderError("order is numbered by another graph")
+    return order.ids
 
 
 def triangulate(graph: MoralGraph,
@@ -227,8 +225,7 @@ def triangulate(graph: MoralGraph,
 class Clique:
     members: frozenset[Variable]
     index: int
-    numbering: dict[Variable, int] | None = field(default=None, repr=False, compare=False)
-    bits: int = field(default=0, repr=False, compare=False)  # the members, over numbering
+    bits: int = field(repr=False, compare=False)  # the members, as a bitset over the tree's ids
 
     @property
     def weight(self) -> int:
@@ -288,7 +285,7 @@ def cliques_of(graph: MoralGraph, order: EliminationOrder) -> list[Clique]:
                 y = up[y]
             bits = later[i] | 1 << i
             members = frozenset(map(vs.__getitem__, _members(bits)))
-            cliques.append(Clique(members, len(seq) - pos[y], graph.index, bits))
+            cliques.append(Clique(members, len(seq) - pos[y], bits))
     cliques.sort(key=lambda c: c.index)
     indices = [c.index for c in cliques]
     if len(set(indices)) != len(indices):
@@ -302,42 +299,32 @@ class StrongJunctionTree:
     """Cliques with their indices, each non-root linked to a parent clique.
 
     ``parent`` maps a clique index to its parent's index; separators are the
-    clique-parent intersections.  ``index`` is the numbering the cliques carry
-    (the diagram's, for a compiled tree), else one derived from their members.
-    Bit k of ``holding[i]`` is set when the clique with index k holds the
-    variable with id i.  The lookups are built once, so ``parent`` must not
-    change after construction (``build_strong_tree`` links its tree as it
-    builds it).
+    clique-parent intersections.  ``index`` numbers the variables the clique
+    bitsets range over (the diagram's, for a compiled tree).  Bit k of
+    ``holding[i]`` is set when the clique with index k holds the variable with
+    id i.  The lookups are built once, so ``parent`` must not change after
+    construction (``build_strong_tree`` links its tree as it builds it).
     """
 
     cliques: tuple[Clique, ...]
     parent: dict[int, int]
     root: int
-    index: dict[Variable, int] = field(init=False, repr=False, compare=False)
+    index: dict[Variable, int] = field(repr=False, compare=False)
     holding: list[int] = field(init=False, repr=False, compare=False)
     _by_index: dict[int, Clique] = field(init=False, repr=False, compare=False)
     _children: dict[int, list[int]] = field(init=False, repr=False, compare=False)
     _every: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cliques = self.cliques
-        index = cliques[0].numbering if cliques else {}
-        if index is None or any(c.numbering is not index for c in cliques):  # built by hand
-            union = frozenset().union(*(c.members for c in cliques))
-            index = {v: i for i, v in enumerate(sorted(union, key=canonical_key))}
-            cliques = tuple(Clique(c.members, c.index, index, sum(1 << index[v] for v in c.members))
-                            for c in cliques)
-        holding = [0] * len(index)
-        for c in cliques:
+        holding = [0] * len(self.index)
+        for c in self.cliques:
             for i in _members(c.bits):
                 holding[i] |= 1 << c.index
         children: dict[int, list[int]] = {}
         for k in sorted(self.parent):
             children.setdefault(self.parent[k], []).append(k)
-        object.__setattr__(self, "cliques", cliques)
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "holding", holding)
-        object.__setattr__(self, "_by_index", {c.index: c for c in cliques})
+        object.__setattr__(self, "_by_index", {c.index: c for c in self.cliques})
         object.__setattr__(self, "_children", children)
         object.__setattr__(self, "_every", sum(1 << k for k in self._by_index))
 
@@ -373,13 +360,14 @@ def _hosts(tree: StrongJunctionTree) -> Iterator[tuple[Clique, Clique | None]]:
         earlier |= c.bits
 
 
-def build_strong_tree(cliques: Sequence[Clique]) -> StrongJunctionTree:
+def build_strong_tree(cliques: Sequence[Clique], index: dict[Variable, int]) -> StrongJunctionTree:
     """Attach each clique to the lowest-index earlier clique holding its separator,
-    asking the holder table of the unlinked tree, then linking that tree in index order."""
+    asking the holder table of the unlinked tree, then linking that tree in index order.
+    ``index`` is the numbering the clique bitsets range over."""
     ordered = sorted(cliques, key=lambda c: c.index)
     if not ordered:
         raise CompileError("no cliques")
-    tree = StrongJunctionTree(tuple(ordered), {}, ordered[0].index)
+    tree = StrongJunctionTree(tuple(ordered), {}, ordered[0].index, index)
     for c, host in _hosts(tree):
         if host is None:
             raise CompileError(f"running intersection violated at clique {c.index}")
@@ -444,7 +432,7 @@ def compile_diagram(diagram: InfluenceDiagram, heuristic: Heuristic = "min-fill"
     order = strong_elimination_order(moral, heuristic, given)
     tri, fills = triangulate(moral, order)
     cliques = cliques_of(tri, order)
-    tree = build_strong_tree(cliques)
+    tree = build_strong_tree(cliques, tri.index)
     problems = verify_strong(tree)
     if problems:
         raise CompileError("; ".join(str(p) for p in problems))

@@ -195,10 +195,10 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     if indices != list(range(1, n + 1)):
         out.append(Violation("decision-index", f"decision indices {indices} must be exactly 1..{n}"))
     index = diagram.index
-    late = (v for v in index if not v.is_decision and v.stage > n)  # by stage, then by name
-    for k, group in groupby(late, key=lambda v: v.stage):
-        names = [v.name for v in group]
-        out.append(Violation("stage", f"stage {k} exceeds decision count {n} (variables {names})"))
+    misplaced = (v for v in index if not v.is_decision and not 0 <= v.stage <= n)  # by stage, then by name
+    for k, group in groupby(misplaced, key=lambda v: v.stage):
+        why = "is negative" if k < 0 else f"exceeds decision count {n}"
+        out.append(Violation("stage", f"stage {k} {why} (variables {[v.name for v in group]})"))
 
     for v in diagram.variables:
         if v.is_decision and v.name in diagram.parents and diagram.parents[v.name]:
@@ -229,8 +229,6 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         vals = cpt.values
         with np.errstate(over="ignore", invalid="ignore"):  # e.g. rows 1e308 1e308, inf -inf
             sums = vals.sum(axis=position(cpt.domain, v))
-        if vals.min(initial=0.0) >= 0 and abs(sums - 1.0).max(initial=0.0) <= ROW_SUM_TOL:
-            continue  # NaN, an infinity or an overflowing row fails this and is itemized below
         if not np.all(np.isfinite(vals)):
             out.append(Violation("cpt", f"cpt of {v.name!r} has non-finite entries"))
             continue

@@ -93,17 +93,17 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
 
     Unassigned cliques keep the unit probability / null utility potentials,
     so globally the tree still represents the model's joint and total utility.
-    A compiled tree numbers the variables by the diagram's ids; one built by hand has its own.
+    The tree must be numbered by the diagram's ids, as a compiled one is.
     """
+    if tree.index is not diagram.index:
+        raise InvariantError("the tree is not numbered by the diagram's ids")
     unit, null = Table.unit(), Table.null()  # immutable, so every clique shares them
     states = {c.index: CliqueState(unit, null) for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     for f, ids in zip(factors, diagram.factor_ids):
-        domain = f.domain if isinstance(f, Utility) else diagram.parents[f.name] + (f,)
-        if tree.index is not diagram.index:
-            ids = [tree.index.get(v) for v in domain]
-        host = None if None in ids else tree.lowest_holder(ids)
+        host = tree.lowest_holder(ids)
         if host is None:
+            domain = f.domain if isinstance(f, Utility) else diagram.parents[f.name] + (f,)
             what = "domain of utility" if isinstance(f, Utility) else "family of"
             names = sorted(v.name for v in domain)
             raise InvariantError(f"no clique contains the {what} {f.name!r} {names}")

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from idjt import MoralGraph, Table, add, chance_var, decision_var, multiply, parse_model
+from idjt import (Clique, EliminationOrder, MoralGraph, StrongJunctionTree, Table, add,
+                  chance_var, decision_var, multiply, parse_model)
 from idjt.tables import canonical_key
 
 MODELS = Path(__file__).parents[1] / "models"
@@ -72,15 +73,40 @@ def golden_variables():
     return out
 
 
+def numbering(variables):
+    """Ids for the distinct variables in canonical (rank, name) order, as a diagram numbers them."""
+    return {v: i for i, v in enumerate(sorted(dict.fromkeys(variables), key=canonical_key))}
+
+
 def graph_of(vertices, edges):
     """The MoralGraph over the variables with the given edges (variable pairs)."""
-    index = {v: i for i, v in enumerate(sorted(vertices, key=canonical_key))}
+    index = numbering(vertices)
     adj = [0] * len(index)
     for e in edges:
         a, b = (index[v] for v in e)
         adj[a] |= 1 << b
         adj[b] |= 1 << a
     return MoralGraph(index, tuple(adj))
+
+
+def order_on(graph, sequence):
+    """The elimination order of a sequence of the graph's vertices, numbered by the graph."""
+    return EliminationOrder(tuple(sequence), graph.index, tuple(graph.index[v] for v in sequence))
+
+
+def numbered(pairs, index=None):
+    """Cliques from (members, clique index) pairs with their bitsets over ``index``,
+    by default the ``numbering`` of their members; returns (cliques, index)."""
+    pairs = [(frozenset(members), k) for members, k in pairs]
+    if index is None:
+        index = numbering(v for members, _ in pairs for v in members)
+    return tuple(Clique(m, k, sum(1 << index[v] for v in m)) for m, k in pairs), index
+
+
+def hand_tree(pairs, parent, root, index=None):
+    """A StrongJunctionTree over the cliques ``numbered`` builds from the pairs."""
+    cliques, index = numbered(pairs, index)
+    return StrongJunctionTree(cliques, parent, root, index)
 
 
 def golden_moral_graph():

@@ -97,7 +97,7 @@ def test_criterion_1_golden_compilation():
     order = strong_elimination_order(graph, given=[vs[n] for n in GOLDEN_SEQUENCE])
     tri, fills = triangulate(graph, order)
     cliques = cliques_of(tri, order)
-    tree = build_strong_tree(cliques)
+    tree = build_strong_tree(cliques, tri.index)
 
     ok_fills = {frozenset(v.name for v in f) for f in fills} == GOLDEN_FILLS
     ok_cliques = {c.index: {v.name for v in c.members} for c in cliques} == GOLDEN_CLIQUES
@@ -205,7 +205,7 @@ def test_criterion_5_structural_suite():
     graph, vs = golden_moral_graph()
     order = strong_elimination_order(graph, given=[vs[n] for n in GOLDEN_SEQUENCE])
     tri, fills = triangulate(graph, order)
-    tree = build_strong_tree(cliques_of(tri, order))
+    tree = build_strong_tree(cliques_of(tri, order), tri.index)
     assert verify_strong(tree) == []
     _report(5, "strong-tree-structure", True, f"{checked + 1} compilations")
 

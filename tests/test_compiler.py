@@ -13,7 +13,6 @@ import pytest
 
 from idjt import (
     CompileError,
-    EliminationOrder,
     OrderError,
     StrongJunctionTree,
     build_strong_tree,
@@ -28,9 +27,8 @@ from idjt import (
     verify_strong,
 )
 from idjt import compiler
-from idjt.compiler import Clique, moral_to_dot, tree_to_dot, triangulated_to_dot
+from idjt.compiler import moral_to_dot, tree_to_dot, triangulated_to_dot
 from idjt.randmodels import random_model
-from idjt.tables import canonical_key
 
 from conftest import (
     GOLDEN_CLIQUES,
@@ -41,6 +39,9 @@ from conftest import (
     edge_names,
     family,
     graph_of,
+    hand_tree,
+    numbered,
+    order_on,
 )
 
 
@@ -335,7 +336,7 @@ def test_fills_match_the_reference_under_arbitrary_orders():
             frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
         )
         graph = graph_of(tuple(vs), edges)
-        order = EliminationOrder(tuple(rng.sample(vs, n)))
+        order = order_on(graph, rng.sample(vs, n))
         tri = _assert_triangulates_like_the_reference(graph, order)
         filled += tri != graph
         # the filled bitsets are the graph its edges rebuild
@@ -355,7 +356,7 @@ def test_already_triangulated_graph_has_zero_fills():
     b = chance_var("b", ("0", "1"), 0)
     c = chance_var("c", ("0", "1"), 0)
     graph = graph_of((a, b, c), frozenset({frozenset((a, b)), frozenset((b, c))}))
-    order = EliminationOrder((a, c, b))
+    order = order_on(graph, (a, c, b))
     _, fills = triangulate(graph, order)
     assert fills == []
 
@@ -386,7 +387,7 @@ def test_complete_graph_is_one_clique_with_index_one():
     c = chance_var("c", ("0", "1"), 0)
     edges = frozenset(frozenset(p) for p in itertools.combinations((a, b, c), 2))
     graph = graph_of((a, b, c), edges)
-    cliques = cliques_of(graph, EliminationOrder((a, b, c)))
+    cliques = cliques_of(graph, order_on(graph, (a, b, c)))
     assert len(cliques) == 1
     assert cliques[0].index == 1
     assert cliques[0].members == {a, b, c}
@@ -447,27 +448,7 @@ def test_cliques_of_rejects_non_perfect_order():
     )
     graph = graph_of((a, b, c, d), edges)
     with pytest.raises(CompileError, match="perfectly eliminate"):
-        cliques_of(graph, EliminationOrder((a, b, c, d)))
-
-
-@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
-@pytest.mark.parametrize("foreign", [False, True], ids=["missing", "foreign"])
-def test_cliques_of_rejects_an_order_that_misses_a_vertex(run, foreign):
-    # a vertex left out, or one left out and a variable of no graph put in
-    a, b, z = (chance_var(n, ("0", "1"), 0) for n in "abz")
-    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
-    with pytest.raises(OrderError, match="does not cover"):
-        run(graph, EliminationOrder((a, z) if foreign else (a,)))
-
-
-@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
-def test_a_repeated_sequence_is_rejected_where_it_is_numbered(run):
-    # EliminationOrder checks only the stage constraint; the repeat is found on the vertex ids
-    a, b = (chance_var(n, ("0", "1"), 0) for n in "ab")
-    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
-    for sequence in ((a, a), (a, b, a)):
-        with pytest.raises(OrderError, match="does not cover the graph's vertices once"):
-            run(graph, EliminationOrder(sequence))
+        cliques_of(graph, order_on(graph, (a, b, c, d)))
 
 
 def test_a_given_sequence_that_repeats_a_variable_keeps_its_message(golden):
@@ -477,17 +458,32 @@ def test_a_given_sequence_that_repeats_a_variable_keeps_its_message(golden):
         strong_elimination_order(graph, given=repeated)
 
 
+def test_a_given_sequence_is_mapped_to_the_graph_ids_once():
+    # a vertex left out, a variable of no graph put in, or a vertex repeated: rejected before mapping
+    a, b, z = (chance_var(n, ("0", "1"), 0) for n in "abz")
+    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
+    for given in ((b, a), (a, b)):
+        order = strong_elimination_order(graph, given=given)
+        assert order.numbering is graph.index and list(order.ids) == [graph.index[v] for v in given]
+    for given, why in (((a,), "permutation"), ((a, z), "permutation"), ((a, a), "permutation"),
+                       ((a, b, a), "^sequence repeats a variable$")):
+        with pytest.raises(OrderError, match=why):
+            strong_elimination_order(graph, given=given)
+
+
 @pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
 def test_an_order_keeps_its_ids_only_on_the_graph_that_numbered_them(run):
-    # a vertex z that sorts first shifts every id by one: the order is mapped again and misses z
+    # an equal numbering of the same graph is still another graph's, and a vertex z
+    # that sorts first shifts every id by one: both are rejected, not mapped again
     a, b, c, z = (chance_var(n, ("0", "1"), 0) for n in ("a", "b", "c", "_z"))
     edges = frozenset({frozenset((a, b)), frozenset((b, c))})
     graph = graph_of((a, b, c), edges)
     order = strong_elimination_order(graph)
     assert order.numbering is graph.index and [graph.vertices[i] for i in order.ids] == list(order.sequence)
-    assert _pairs(cliques_of(graph_of((a, b, c), edges), order)) == _pairs(cliques_of(graph, order))
-    with pytest.raises(OrderError, match="does not cover"):
-        run(graph_of((z, a, b, c), edges), order)
+    run(graph, order)
+    for other in (graph_of((a, b, c), edges), graph_of((z, a, b, c), edges)):
+        with pytest.raises(OrderError, match="^order is numbered by another graph$"):
+            run(other, order)
 
 
 def test_every_pass_hands_on_the_diagram_numbering(golden_model):
@@ -539,7 +535,7 @@ def _reference_cliques_of(graph, order):
                     break
         return best if best else 1
 
-    cliques = [Clique(c, index_of(c)) for v, c in elim.items() if v not in absorbed]
+    cliques, _ = numbered([(c, index_of(c)) for v, c in elim.items() if v not in absorbed], graph.index)
     return sorted(cliques, key=lambda c: c.index)
 
 
@@ -579,7 +575,7 @@ def test_cliques_match_the_reference_under_arbitrary_orders():
             frozenset(e) for e in itertools.combinations(vs, 2) if rng.random() < p
         )
         graph = graph_of(tuple(vs), edges)
-        order = EliminationOrder(tuple(rng.sample(vs, n)))
+        order = order_on(graph, rng.sample(vs, n))
         tri, _ = triangulate(graph, order)
         expected = _reference_cliques_of(tri, order)
         assert _pairs(cliques_of(tri, order)) == _pairs(expected)
@@ -602,7 +598,7 @@ def test_star_indices_follow_the_leaves():
     hub = chance_var("hub", ("0", "1"), 0)
     leaves = [chance_var(f"x{i:04d}", ("0", "1"), 0) for i in range(1, n)]
     graph = graph_of((*leaves, hub), frozenset(frozenset((x, hub)) for x in leaves))
-    cliques = cliques_of(graph, EliminationOrder((*leaves, hub)))
+    cliques = cliques_of(graph, order_on(graph, (*leaves, hub)))
     got = {c.index: c.members for c in cliques}
     assert len(got) == n - 1
     for i, x in enumerate(leaves[:-1], start=1):
@@ -640,22 +636,19 @@ def test_lowest_holders_tells_apart_variables_that_share_a_name():
     two = chance_var("x", ("0", "1"), 0)
     three = chance_var("x", ("0", "1", "2"), 0)
     y = chance_var("y", ("0", "1"), 0)
-    cliques = (Clique(frozenset({two, y}), 1), Clique(frozenset({three}), 2),
-               Clique(frozenset({three, y}), 3))
-    tree = StrongJunctionTree(cliques, {2: 1, 3: 2}, 1)
+    tree = hand_tree([({two, y}, 1), ({three}, 2), ({three, y}, 3)], {2: 1, 3: 2}, 1)
     queries = [({three}, None), ({two}, None), ({three, y}, None), ({two, y}, None), ({three}, 2)]
     assert len(tree.index) == 3  # the two x's are two variables with two ids
     holders = [tree.lowest_holder([tree.index[v] for v in d], below) for d, below in queries]
     assert [h.index if h else None for h in holders] == [2, 1, 3, 1, None]
 
 
-def test_a_hand_built_tree_numbers_its_members_once_in_canonical_order(golden):
+def test_a_tree_holds_each_variable_in_the_same_cliques_under_another_numbering(golden):
     compiled, _ = _golden_tree(golden)
-    tree = StrongJunctionTree(tuple(Clique(c.members, c.index) for c in compiled.cliques),
-                              compiled.parent, compiled.root)
+    index = {v: i for i, v in enumerate(reversed(compiled.index))}  # the compiled ids, reversed
+    tree = hand_tree([(c.members, c.index) for c in compiled.cliques], compiled.parent, compiled.root, index)
     union = frozenset().union(*(c.members for c in compiled.cliques))
-    assert list(tree.index) == sorted(union, key=canonical_key) and tree.index is not compiled.index
-    assert all(c.numbering is tree.index for c in tree.cliques)
+    assert list(tree.index) != list(compiled.index)
     holders = {v: tree.holding[i] for v, i in tree.index.items()}
     assert holders == {v: compiled.holding[compiled.index[v]] for v in union}
 
@@ -687,7 +680,7 @@ def test_tree_links_follow_the_elimination_tree():
 def _golden_tree(golden):
     order, graph, vs = _golden_order(golden)
     tri, _ = triangulate(graph, order)
-    return build_strong_tree(cliques_of(tri, order)), vs
+    return build_strong_tree(cliques_of(tri, order), tri.index), vs
 
 
 def test_golden_parent_links(golden):
@@ -709,7 +702,7 @@ def test_alternative_attachment_would_also_hold_separator(golden):
 
 def test_single_clique_tree_has_no_edges():
     a = chance_var("a", ("0", "1"), 0)
-    tree = build_strong_tree([Clique(frozenset({a}), 1)])
+    tree = build_strong_tree(*numbered([({a}, 1)]))
     assert tree.parent == {}
     assert tree.root == 1
 
@@ -718,18 +711,14 @@ def test_running_intersection_violation_detected():
     a = chance_var("a", ("0", "1"), 0)
     b = chance_var("b", ("0", "1"), 0)
     c = chance_var("c", ("0", "1"), 0)
-    disjoint = [Clique(frozenset({a, b}), 1), Clique(frozenset({c}), 2)]
-    tree = build_strong_tree(disjoint)  # empty separator attaches to the root
+    disjoint = numbered([({a, b}, 1), ({c}, 2)])
+    tree = build_strong_tree(*disjoint)  # empty separator attaches to the root
     assert tree.parent == {2: 1}
 
-    overlapping = [
-        Clique(frozenset({a}), 1),
-        Clique(frozenset({b, c}), 2),
-        Clique(frozenset({a, c}), 3),
-    ]
+    overlapping = numbered([({a}, 1), ({b, c}, 2), ({a, c}, 3)])
     # separator of clique 3 is {a, c}: no single earlier clique holds both
     with pytest.raises(CompileError, match="running intersection"):
-        build_strong_tree(overlapping)
+        build_strong_tree(*overlapping)
 
 
 def test_verify_strong_accepts_the_golden_tree(golden):
@@ -739,7 +728,7 @@ def test_verify_strong_accepts_the_golden_tree(golden):
 
 def test_junction_property_violation_on_rewired_edge(golden):
     tree, vs = _golden_tree(golden)
-    broken = StrongJunctionTree(tree.cliques, {**tree.parent, 8: 6}, tree.root)
+    broken = StrongJunctionTree(tree.cliques, {**tree.parent, 8: 6}, tree.root, tree.index)
     problems = verify_strong(broken)
     junction = [p for p in problems if p.kind == "junction"]
     assert junction, problems
@@ -762,7 +751,7 @@ def _rerooted(tree, root):
                 seen.add(nb)
                 new_parent[nb] = cur
                 frontier.append(nb)
-    return StrongJunctionTree(tree.cliques, new_parent, root)
+    return StrongJunctionTree(tree.cliques, new_parent, root, tree.index)
 
 
 def test_strong_root_violations_after_rerooting(golden):
@@ -854,7 +843,7 @@ def test_junction_check_agrees_with_networkx_on_rewired_golden_trees(golden):
         for c in tree.cliques:
             if c.index in below or c.index == par:
                 continue
-            broken = StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, tree.root)
+            broken = StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, tree.root, tree.index)
             _assert_junction_matches_networkx(broken)
             rewired += 1
     assert rewired > 0
@@ -884,13 +873,13 @@ def test_running_intersection_matches_the_pairwise_scan(golden):
         below = _subtree(tree, child)
         for c in tree.cliques:
             if c.index not in below:
-                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1))
+                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1, tree.index))
     for seed in range(30):
         trees.append(compile_diagram(random_model(seed + 900))[0])
     flagged = 0
     for t in trees:
         for cliques in (t.cliques, t.cliques[::-1], t.cliques[1::2] + t.cliques[::2]):
-            shuffled = StrongJunctionTree(cliques, t.parent, t.root)
+            shuffled = StrongJunctionTree(cliques, t.parent, t.root, t.index)
             expected = _pairwise_running_intersection(shuffled)
             assert _running_intersection(shuffled) == expected
             flagged += bool(expected)
@@ -960,18 +949,18 @@ def _reference_verify_strong(tree):
     return out
 
 
-def _assert_tree_matches_the_reference(cliques):
+def _assert_tree_matches_the_reference(cliques, index):
     try:
         want = _reference_build_strong_tree(cliques)
     except CompileError as e:
         with pytest.raises(CompileError, match=f"^{e}$"):
-            build_strong_tree(cliques)
+            build_strong_tree(cliques, index)
         return
-    tree = build_strong_tree(cliques)
+    tree = build_strong_tree(cliques, index)
     assert list(tree.parent.items()) == list(want[0].items())  # filled in the same order
     assert tree.root == want[1]
     assert verify_strong(tree) == _reference_verify_strong(tree)
-    rebuilt = StrongJunctionTree(tree.cliques, dict(tree.parent), tree.root)  # links made at construction
+    rebuilt = StrongJunctionTree(tree.cliques, dict(tree.parent), tree.root, index)  # links made at construction
     assert all(tree.children(c.index) == rebuilt.children(c.index) for c in tree.cliques)
 
 
@@ -982,7 +971,7 @@ def test_tree_assembly_matches_the_reference_on_the_sweep_structures(golden_mode
         graph = moralize(model)
         order = strong_elimination_order(graph)
         tri, _ = triangulate(graph, order)
-        _assert_tree_matches_the_reference(cliques_of(tri, order))
+        _assert_tree_matches_the_reference(cliques_of(tri, order), tri.index)
 
 
 def test_tree_checks_match_the_reference_on_hand_built_and_mutated_trees(golden):
@@ -991,32 +980,33 @@ def test_tree_checks_match_the_reference_on_hand_built_and_mutated_trees(golden)
     for child in tree.parent:
         for c in tree.cliques:
             if c.index != child:  # rewired, including into the child's own subtree
-                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1))
-    trees.append(StrongJunctionTree(tree.cliques, dict(list(tree.parent.items())[1:]), 1))
-    trees.append(StrongJunctionTree(tree.cliques, tree.parent, 99))
+                trees.append(StrongJunctionTree(tree.cliques, {**tree.parent, child: c.index}, 1, tree.index))
+    trees.append(StrongJunctionTree(tree.cliques, dict(list(tree.parent.items())[1:]), 1, tree.index))
+    trees.append(StrongJunctionTree(tree.cliques, tree.parent, 99, tree.index))
     for t in trees:
         for cliques in (t.cliques, t.cliques[::-1], t.cliques[1::2] + t.cliques[::2]):
-            for cs in (cliques, tuple(Clique(c.members, c.index) for c in cliques)):  # numbered, by hand
-                shuffled = StrongJunctionTree(cs, t.parent, t.root)
+            # compiled, and renumbered by hand
+            for cs, index in ((cliques, t.index), numbered([(c.members, c.index) for c in cliques])):
+                shuffled = StrongJunctionTree(cs, t.parent, t.root, index)
                 assert verify_strong(shuffled) == _reference_verify_strong(shuffled)
     kinds = Counter(p.kind for t in trees for p in verify_strong(t))
     assert all(kinds[k] for k in ("tree", "junction", "running-intersection", "strong-root")), kinds
     a, b, c = (chance_var(n, ("0", "1"), 0) for n in "abc")
     xs = [chance_var(f"x{i}", ("0", "1"), 0) for i in range(3001)]
-    for cliques in ([Clique(frozenset({a}), 1)],
-                    [Clique(frozenset({a, b}), 1), Clique(frozenset({c}), 2)],
-                    [Clique(frozenset({a}), 1), Clique(frozenset({b, c}), 2), Clique(frozenset({a, c}), 3)],
-                    [Clique(frozenset({xs[i - 1], xs[i]}), i) for i in range(3000, 0, -1)],
-                    list(tree.cliques)[::-1]):
-        _assert_tree_matches_the_reference(cliques)
+    for cliques in (numbered([({a}, 1)]),
+                    numbered([({a, b}, 1), ({c}, 2)]),
+                    numbered([({a}, 1), ({b, c}, 2), ({a, c}, 3)]),
+                    numbered([({xs[i - 1], xs[i]}, i) for i in range(3000, 0, -1)]),
+                    (list(tree.cliques)[::-1], tree.index)):
+        _assert_tree_matches_the_reference(*cliques)
 
 
 def test_verify_strong_accepts_a_3000_clique_path():
     xs = [chance_var(f"x{i}", ("0", "1"), 0) for i in range(3001)]
-    cliques = tuple(Clique(frozenset({xs[i - 1], xs[i]}), i) for i in range(1, 3001))
-    tree = StrongJunctionTree(cliques, {i: i - 1 for i in range(2, 3001)}, 1)
+    cliques, index = numbered([({xs[i - 1], xs[i]}, i) for i in range(1, 3001)])
+    tree = StrongJunctionTree(cliques, {i: i - 1 for i in range(2, 3001)}, 1, index)
     assert verify_strong(tree) == []
-    assert build_strong_tree(cliques).parent == tree.parent
+    assert build_strong_tree(cliques, index).parent == tree.parent
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,18 @@ def test_stages_beyond_decision_count_are_listed_by_stage_then_name():
     ]
 
 
+def test_a_negative_stage_is_a_stage_violation():
+    # write_model would print ``stage -1``, which parse_model rejects
+    d1 = decision_var("D1", ("a", "b"), 1)
+    early = [chance_var(n, ("a", "b"), k) for n, k in [("x", -1), ("w", -2), ("v", -1)]]
+    cpts = {v.name: Table.from_flat([v], [0.5, 0.5]) for v in early}
+    diagram = InfluenceDiagram((*early, d1), {v.name: () for v in early}, cpts, ())
+    assert validate(diagram) == [
+        ("stage", "stage -2 is negative (variables ['w'])"),
+        ("stage", "stage -1 is negative (variables ['v', 'x'])"),
+    ]
+
+
 def test_index_numbers_each_distinct_variable_in_canonical_order():
     d1 = decision_var("D1", ("a", "b"), 1)
     x, y, w = (chance_var(n, ("0", "1"), k) for n, k in [("x", 1), ("y", 0), ("w", 1)])
@@ -417,7 +429,7 @@ def test_utility_domain_repeating_a_variable_violation():
 
 GATE_FAULTS = ("utility table", "utility domain", "utility repeat", "parents entry",
                "undeclared parent", "decision parents", "cpt domain", "negative cpt entry",
-               "variable dropped")
+               "variable dropped", "negative stage")
 
 
 def _with_fault(model, fault, k):
@@ -452,8 +464,13 @@ def _with_fault(model, fault, k):
         flat = cpts[c.name].to_flat(family(model, c)).copy()
         flat[k % flat.size] = -0.5
         cpts[c.name] = Table.from_flat(family(model, c), flat)
-    else:  # variable dropped
+    elif fault == "variable dropped":
         del variables[k % len(variables)]
+    else:  # negative stage: a root chance variable observed before stage 0
+        x = chance_var("early", ("e0", "e1"), -1 - k % 3)
+        variables.append(x)
+        parents[x.name] = ()
+        cpts[x.name] = Table.from_flat([x], [0.5, 0.5])
     return InfluenceDiagram(tuple(variables), parents, cpts, tuple(utilities))
 
 
@@ -461,12 +478,14 @@ def _with_fault(model, fault, k):
 @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(GATE_FAULTS),
        k=st.integers(0, 2**16))
 def test_validate_is_the_gate(seed, fault, k):
-    # a model validate accepts compiles, solves and writes; anything else is a violation
+    # a model validate accepts compiles, solves and writes a text that reads back to
+    # itself; anything else is a violation
     model = _with_fault(random_model(seed, max_variables=6), fault, k)
     if not validate(model):
         tree, *_ = compile_diagram(model)
         solve(tree, model)
-        write_model(model)
+        text = write_model(model)
+        assert write_model(parse_model(text)) == text
 
 
 def _reference_cpt_violations(diagram):

@@ -26,12 +26,11 @@ from idjt import (
     solve,
 )
 from idjt import solver
-from idjt.compiler import Clique, StrongJunctionTree
 from idjt.solver import CliqueState, extract_policies
 from idjt.oracle import brute_force, joint_probability, rollout, total_utility
 from idjt.randmodels import random_model
 
-from conftest import GOLDEN_POLICY_CLIQUES, family, global_pair, var
+from conftest import GOLDEN_POLICY_CLIQUES, family, global_pair, hand_tree, var
 
 
 def _solved(model):
@@ -74,8 +73,8 @@ def test_assignment_goes_to_lowest_index_clique(golden_model):
 
 def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
     x, d = var(tiny_model, "x"), var(tiny_model, "D")
-    cliques = (Clique(frozenset({x, d}), 1), Clique(frozenset({d}), 2), Clique(frozenset({d}), 3))
-    run = initialize(StrongJunctionTree(cliques, {2: 1, 3: 1}, 1), tiny_model)
+    tree = hand_tree([({x, d}, 1), ({d}, 2), ({d}, 3)], {2: 1, 3: 1}, 1, tiny_model.index)
+    run = initialize(tree, tiny_model)
     unit, null = run.states[2].phi, run.states[2].psi  # clique 2 and 3 hold no factor
     assert run.states[3].phi is unit and run.states[3].psi is null
     for shared in (unit, null):
@@ -87,20 +86,23 @@ def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
     assert meu(run) == solve(compile_diagram(tiny_model)[0], tiny_model).meu
 
 
-def test_initialize_places_factors_on_a_hand_built_tree_by_its_own_numbering(tiny_model):
-    # a variable that sorts before D shifts the tree's ids away from the diagram's
+def test_initialize_rejects_a_tree_numbered_by_another_diagram(tiny_model):
+    # a variable that sorts before D shifts the tree's ids away from the diagram's;
+    # an equal copy of the diagram's numbering is another numbering all the same
     x, d, a = var(tiny_model, "x"), var(tiny_model, "D"), chance_var("a", ("0", "1"), 0)
-    tree = StrongJunctionTree((Clique(frozenset({a, d}), 1), Clique(frozenset({d, x}), 2)), {2: 1}, 1)
-    assert tree.index == {a: 0, d: 1, x: 2}
-    run = initialize(tree, tiny_model)
+    run = initialize(hand_tree([({d}, 1), ({d, x}, 2)], {2: 1}, 1, tiny_model.index), tiny_model)
     assert set(run.states[2].phi.domain) == {d, x} and set(run.states[2].psi.domain) == {x}
     assert run.states[1].phi.domain == () and run.states[1].psi.is_null()
+    shifted = hand_tree([({a, d}, 1), ({d, x}, 2)], {2: 1}, 1)
+    assert shifted.index == {a: 0, d: 1, x: 2}
+    for tree in (shifted, hand_tree([({d}, 1), ({d, x}, 2)], {2: 1}, 1, dict(tiny_model.index))):
+        with pytest.raises(InvariantError, match="^the tree is not numbered by the diagram's ids$"):
+            initialize(tree, tiny_model)
 
 
 def test_initialize_names_the_factor_no_clique_holds(tiny_model):
     x, d = var(tiny_model, "x"), var(tiny_model, "D")
-    cliques = (Clique(frozenset({x}), 1), Clique(frozenset({d}), 2))
-    tree = StrongJunctionTree(cliques, {2: 1}, 1)
+    tree = hand_tree([({x}, 1), ({d}, 2)], {2: 1}, 1, tiny_model.index)
     with pytest.raises(InvariantError, match=r"no clique contains the family of 'x' \['D', 'x'\]"):
         initialize(tree, tiny_model)
 
@@ -121,8 +123,7 @@ def test_no_utilities_means_zero_meu():
 def _two_clique_run(phi1, psi1, phi2, psi2, c1, c2):
     from idjt.solver import SolveRun
 
-    cliques = [Clique(frozenset(c1), 1), Clique(frozenset(c2), 2)]
-    tree = StrongJunctionTree(tuple(cliques), {2: 1}, 1)
+    tree = hand_tree([(c1, 1), (c2, 2)], {2: 1}, 1)
     placeholder = parse_model("chance zzz states 0 1 stage 0\ncpt zzz : .5 .5\n")
     return SolveRun(tree, placeholder, {1: CliqueState(phi1, psi1), 2: CliqueState(phi2, psi2)})
 
@@ -155,8 +156,7 @@ def test_absorption_with_empty_marginalization_merges_potentials():
 
 def test_absorb_rejects_child_with_live_children():
     x = chance_var("x", ("0", "1"), 0)
-    cliques = [Clique(frozenset({A}), 1), Clique(frozenset({A, B}), 2), Clique(frozenset({B, x}), 3)]
-    tree = StrongJunctionTree(tuple(cliques), {2: 1, 3: 2}, 1)
+    tree = hand_tree([({A}, 1), ({A, B}, 2), ({B, x}, 3)], {2: 1, 3: 2}, 1)
     model = parse_model("chance zzz states 0 1 stage 0\ncpt zzz : .5 .5\n")
     from idjt.solver import SolveRun
 
