@@ -13,11 +13,12 @@ The diagram owns the vertex numbering (``InfluenceDiagram.index``, 0..n-1 in
 canonical (rank, name) order) and every structure is built with it:
 moralization reads the family and utility-domain ids, an order holds its
 sequence as ids, and a clique its members as a bitset over them.  A pass given
-an order numbered by another graph raises rather than mapping it again.  A
-neighbourhood N(v) is one ``int`` bitset over those ids, so no set operation
-calls ``Variable.__hash__``.  The fill count of v is half the sum over a in
-N(v) of ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into
-each neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
+an order numbered by another graph, or whose ids miss or repeat a vertex,
+raises rather than mapping it again.  A neighbourhood N(v) is one ``int``
+bitset over those ids, so no set operation calls ``Variable.__hash__``.  The
+fill count of v is half the sum over a in N(v) of
+``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
+neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
 bitset of clique indices per id, and answers one query from it: the
 lowest-index clique holding a set of ids.
 """
@@ -197,9 +198,12 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
 
 
 def _ids(graph: MoralGraph, order: EliminationOrder) -> tuple[int, ...]:
-    """The vertex ids of the order's sequence, which must be numbered by the graph."""
+    """The vertex ids of the order's sequence, which must be numbered by the graph
+    and cover each of its vertices once."""
     if order.numbering is not graph.index:
         raise OrderError("order is numbered by another graph")
+    if sorted(order.ids) != list(range(len(graph.index))):
+        raise OrderError("order does not cover the graph's vertices once")
     return order.ids
 
 

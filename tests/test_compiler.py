@@ -13,6 +13,7 @@ import pytest
 
 from idjt import (
     CompileError,
+    EliminationOrder,
     OrderError,
     StrongJunctionTree,
     build_strong_tree,
@@ -449,6 +450,27 @@ def test_cliques_of_rejects_non_perfect_order():
     graph = graph_of((a, b, c, d), edges)
     with pytest.raises(CompileError, match="perfectly eliminate"):
         cliques_of(graph, order_on(graph, (a, b, c, d)))
+
+
+@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
+@pytest.mark.parametrize("foreign", [False, True], ids=["missing", "foreign"])
+def test_cliques_of_rejects_an_order_that_misses_a_vertex(run, foreign):
+    # a vertex left out, or one left out and a variable of no graph put in at an id past the graph's
+    a, b, z = (chance_var(n, ("0", "1"), 0) for n in "abz")
+    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
+    ids = (graph.index[a], len(graph.index)) if foreign else (graph.index[a],)
+    with pytest.raises(OrderError, match="does not cover"):
+        run(graph, EliminationOrder((a, z) if foreign else (a,), graph.index, ids))
+
+
+@pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
+def test_a_repeated_sequence_is_rejected_where_it_is_numbered(run):
+    # EliminationOrder checks only the stage constraint; the repeat is found on the vertex ids
+    a, b = (chance_var(n, ("0", "1"), 0) for n in "ab")
+    graph = graph_of((a, b), frozenset({frozenset((a, b))}))
+    for sequence in ((a, a), (a, b, a)):
+        with pytest.raises(OrderError, match="does not cover the graph's vertices once"):
+            run(graph, order_on(graph, sequence))
 
 
 def test_a_given_sequence_that_repeats_a_variable_keeps_its_message(golden):
