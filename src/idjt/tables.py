@@ -23,6 +23,13 @@ only along an axis of 8 or more states that is innermost in one of the two
 orders, where numpy keeps several accumulators.  Smaller tables, and tables a
 constructor builds, are C-contiguous in canonical order.
 
+A large contraction that starts with a chance variable v never forms phi*psi:
+it adds the products of the slices phi|v=s and psi|v=s in state order.  numpy
+sums an axis that is not innermost by adding whole slices onto +0.0, and each
+product cell is the same multiply, so this is bit for bit the sum of the
+product.  Where v is the innermost stored axis numpy sums pairwise, and the
+product is formed as before.
+
 A product, sum or quotient is one ufunc call on the operands' values when
 the domains are equal or one table is a scalar, at any size, or when the
 result is small; ``_stream`` splits only a large broadcast over different
@@ -388,6 +395,30 @@ def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
     return _reduce(np.maximum if maximize else np.add, t, axis)
 
 
+def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
+    """phi * psi summed over chance variable v, psi = tables[0], by adding the
+    products of v's slices onto +0.0 (module docstring); None, and psi left in
+    ``tables``, unless the union is large and v is not its innermost stored axis."""
+    if v.is_decision:
+        return None
+    union, a, b = _operands(phi, tables[0])
+    axes = _layout(union)
+    shape = [len(union[k].states) for k in axes]
+    if (i := position(union, v)) is None or math.prod(shape) < STREAM_CELLS:
+        return None
+    j = axes.index(i)
+    if math.prod(shape[j + 1 :]) < 2:  # v innermost: numpy sums it pairwise
+        return None
+    del tables[0]  # a and b hold psi's values until the sum is done
+    a, b = (x.reshape(x.shape or (1,) * len(union)).transpose(axes) for x in (a, b))
+    acc = 0.0
+    for s in range(shape[j]):
+        prod = _stream(np.multiply, *(x[(slice(None),) * j + (s if x.shape[j] > 1 else 0,)] for x in (a, b)))
+        acc = np.add(prod, acc, out=prod)
+    rest = axes[:j] + axes[j + 1 :]
+    return _fresh(union[:i] + union[i + 1 :], acc.transpose(np.argsort(rest)))
+
+
 def marg_all(
     phi: Table,
     psi: Table,
@@ -399,6 +430,9 @@ def marg_all(
     Chance variables are summed, decisions maximized.  The computation keeps
     (phi, rho) with rho = phi * psi and recovers the utility component as
     rho / phi at the end, so a single division happens on the final domain.
+    A large rho is formed already summed over a first chance variable that is
+    not its innermost stored axis, one product per state, so the whole product
+    is never held; the bits are those of its sum (module docstring).
     ``on_decision`` observes (decision, phi, choice) at each max step: phi
     before the step, and the index of the state maximizing rho, which comes
     from the same max that replaces rho (state 0 where rho is constant in the
@@ -435,7 +469,11 @@ def _marg_owned(tables: list[Table], variables, on_decision) -> tuple[Table, Tab
                 on_decision(v, phi, _fresh(reduced.domain, np.zeros_like(reduced.values, dtype=np.int64)))
             phi = reduced
         return phi, tables.pop()
-    rho = multiply(phi, tables.pop())
+    small = phi.values.size * tables[0].values.size < STREAM_CELLS  # so is rho: no domain work
+    if small or (rho := _first_sum(phi, tables, order[0])) is None:
+        rho = multiply(phi, tables.pop())
+    else:
+        phi, order = _marg_one(phi, order[0], maximize=False), order[1:]
     for v in order:
         if v.is_decision and on_decision is not None:
             if position(rho.domain, v) is not None:

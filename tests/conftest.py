@@ -1,5 +1,6 @@
 """Shared fixtures: the four-decision golden network and small helpers."""
 
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 
@@ -7,9 +8,18 @@ import pytest
 
 from idjt import (Clique, EliminationOrder, MoralGraph, StrongJunctionTree, Table, add,
                   chance_var, decision_var, multiply, parse_model)
+from idjt.randmodels import random_model
 from idjt.tables import canonical_key
 
 MODELS = Path(__file__).parents[1] / "models"
+
+
+@cache
+def sweep_draw(seed):
+    """``random_model(seed, structural_zeros=seed % 2 == 1)``, drawn once per session:
+    only for tests that leave the diagram as it is."""
+    return random_model(seed, structural_zeros=seed % 2 == 1)
+
 
 # The golden four-decision network.  Its moral graph is pinned down exactly by
 # the known clique list and fill-in list of the reference elimination

@@ -43,6 +43,7 @@ from conftest import (
     hand_tree,
     numbered,
     order_on,
+    sweep_draw,
 )
 
 
@@ -236,7 +237,7 @@ def _grid(k, cardinality):
 
 def _order_cases(golden_model):
     for i in range(200):
-        model = random_model(i, structural_zeros=i % 2 == 1)
+        model = sweep_draw(i)
         yield moralize(model)
     yield moralize(golden_model)
     for cardinality in (lambda i, j: 2, lambda i, j: 2 + (i * j) % 2):
@@ -301,7 +302,7 @@ def _reference_moralize(diagram):
 
 
 def test_moralize_matches_the_reference(golden_model):
-    models = [random_model(i, structural_zeros=i % 2 == 1) for i in range(200)]
+    models = [sweep_draw(i) for i in range(200)]
     for model in [*models, golden_model]:
         graph = moralize(model)
         assert graph.edges == _reference_moralize(model)
@@ -428,7 +429,7 @@ def _pairwise_maximal(graph, order):
 def test_cliques_match_the_pairwise_filter_and_networkx(heuristic):
     nx = pytest.importorskip("networkx")
     for i in range(200):
-        model = random_model(i, structural_zeros=i % 2 == 1)
+        model = sweep_draw(i)
         _, order, _, _, tri = compile_diagram(model, heuristic=heuristic)
         got = [c.members for c in cliques_of(tri, order)]
         assert len(set(got)) == len(got)
@@ -630,7 +631,7 @@ def test_star_indices_follow_the_leaves():
 
 def _compiled_draws():
     for i in range(200):
-        model = random_model(i, structural_zeros=i % 2 == 1)
+        model = sweep_draw(i)
         tree, order, _, _, tri = compile_diagram(model)
         yield model, tree, order, tri
 
@@ -988,7 +989,7 @@ def _assert_tree_matches_the_reference(cliques, index):
 
 def test_tree_assembly_matches_the_reference_on_the_sweep_structures(golden_model, tiny_model):
     # the 1000 random structures of the benchmark's sweep, then golden and tiny
-    models = [random_model(i, structural_zeros=i % 2 == 1) for i in range(1000)]
+    models = [sweep_draw(i) for i in range(1000)]
     for model in models + [golden_model, tiny_model]:
         graph = moralize(model)
         order = strong_elimination_order(graph)

@@ -28,7 +28,7 @@ from idjt import (
 from idjt.model import ROW_SUM_TOL, _rows_sum_to_one
 from idjt.randmodels import random_model
 
-from conftest import MODELS, family, var
+from conftest import MODELS, family, sweep_draw, var
 
 TINY = """
 decision D states d1 d2 index 1
@@ -570,7 +570,7 @@ def test_cpt_acceptance_matches_the_itemized_checks():
     found = Counter()
     chain = _pure_chain(601)  # children with 2, 3 and 4 states: three groups of rows
     assert validate(chain) == [] and _accepted_at_once(chain)
-    models = [(seed, random_model(seed, structural_zeros=seed % 2 == 1)) for seed in range(320)]
+    models = [(seed, sweep_draw(seed)) for seed in range(320)]
     assert all(_accepted_at_once(model) for _, model in models)
     for seed, model in models + [("chain", chain)] * 2:
         for kind in _CPT_MUTATIONS:
@@ -747,7 +747,7 @@ def test_the_pipeline_hashes_half_as_often_as_before_ids(monkeypatch):
     # parse -> validate -> compile -> solve over golden and 200 seeded draws;
     # each pass compares ids from diagram.index instead of sets of variables
     texts = [(MODELS / "golden.idm").read_text()]
-    texts += [write_model(random_model(i, structural_zeros=i % 2 == 1)) for i in range(200)]
+    texts += [write_model(sweep_draw(i)) for i in range(200)]
     calls = 0
     hash_ = Variable.__hash__
 

@@ -5,6 +5,8 @@ in-test by explicit enumeration over the full state space.
 """
 
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -29,7 +31,8 @@ from idjt import (
     solve,
     sum_out,
 )
-from idjt.tables import STREAM_CELLS, canonical_key, max_and_argmax, position
+from idjt.tables import (STREAM_CELLS, _first_sum, _marg_one, _marg_owned, canonical_key, max_and_argmax,
+                         position)
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -562,6 +565,92 @@ def test_marg_all_of_the_null_utility_is_that_of_an_all_zero_table(phi_domain, v
         assert d is d0 and dom == dom0 and _same_bits(p, p0)
         assert c.domain == c0.domain and _same_bits(c.values, c0.values)
     assert not psi_null.values.any() and not psi_zero.values.any()
+
+
+# a large contraction's first sum, taken from phi and psi without their whole product
+
+FIRST_POOL = (*(_var(f"a{i}", 2, 0) for i in range(6)), _var("D1", 2, 1),
+              *(_var(f"b{i}", 2, 2) for i in range(4)), _var("D2", 3, 3),
+              _var("w", 2, 4))  # 12288 cells, led by two decisions in the stored layout
+NONNEGATIVE_POOL = VALUE_POOL[[0, 1, 2, 4, 5, 7, 8, 9]]
+
+
+def _unfused(phi, psi, variables):
+    """``marg_all`` and its max steps, rho = phi * psi formed whole, then reduced a variable at a time."""
+    rho, steps = multiply(phi, psi), []
+    for v in sorted(variables, key=lambda v: (-v.rank, v.name)):
+        if v.is_decision:
+            rho, choice = max_and_argmax(rho, v)
+            steps.append((v, phi, choice))
+        else:
+            rho = sum_out(rho, v)
+        phi = _marg_one(phi, v, v.is_decision)
+    return (phi, divide(rho, phi)), steps
+
+
+@given(states=st.integers(2, 11), lacks=st.sampled_from(["neither", "phi", "psi"]),
+       in_phi=st.lists(st.booleans(), min_size=len(FIRST_POOL), max_size=len(FIRST_POOL)),
+       in_psi=st.lists(st.booleans(), min_size=len(FIRST_POOL), max_size=len(FIRST_POOL)),
+       eliminated=st.lists(st.booleans(), min_size=len(FIRST_POOL), max_size=len(FIRST_POOL)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_a_large_first_sum_has_the_bits_of_the_whole_product(states, lacks, in_phi, in_psi, eliminated, seed):
+    v = _var("v", states, 4)  # summed first: the latest stage, named before w
+    rng = np.random.default_rng(seed)
+    phi_domain = [u for u, keep in zip(FIRST_POOL, in_phi) if keep] + [v] * (lacks != "phi")
+    psi_domain = [u for u, keep, other in zip(FIRST_POOL, in_psi, in_phi) if keep or not other]
+    psi_domain += [v] * (lacks != "psi")
+    pools = ((phi_domain, NONNEGATIVE_POOL), (psi_domain, VALUE_POOL[:10]))  # both with zeros of either sign
+    phi, psi = (_subtable(rng, sorted(domain, key=canonical_key), lambda u: True, pool)
+                for domain, pool in pools)
+    first = _first_sum(phi, [psi], v)
+    assert first is not None and _same_bits(first.values, sum_out(multiply(phi, psi), v).values)
+    variables = [v, *(u for u, out in zip(FIRST_POOL, eliminated) if out)]
+    seen = []
+    got = marg_all(phi, psi, variables, lambda *step: seen.append(step))
+    want, steps = _unfused(phi, psi, variables)
+    assert [g.domain for g in got] == [w.domain for w in want]
+    assert all(_same_bits(g.values, w.values) for g, w in zip(got, want))
+    assert len(seen) == len(steps)
+    for (d, p, c), (d0, p0, c0) in zip(seen, steps):
+        assert d is d0 and p.domain == p0.domain and _same_bits(p.values, p0.values)
+        assert _same_bits(c.values, c0.values)
+
+
+def test_a_first_sum_along_the_innermost_stored_axis_forms_the_whole_product():
+    # the decision leads the stored layout, so v is innermost: numpy sums its
+    # 11 states pairwise, which a sum one slice at a time does not match
+    rng = np.random.default_rng(21)
+    d, v = _var("D", 1500, 1), _var("v", 11, 2)
+    phi, psi = Table((d, v), rng.random((1500, 11))), Table((v,), rng.random(11))
+    assert _first_sum(phi, [psi], v) is None
+    rho = multiply(phi, psi).values
+    assert not _same_bits(sum(rho[:, s] for s in range(11)), rho.sum(axis=1))
+    want, _ = _unfused(phi, psi, [v])
+    assert all(_same_bits(g.values, w.values) for g, w in zip(marg_all(phi, psi, [v]), want))
+
+
+def test_a_large_contraction_holds_phi_and_two_half_tables_and_frees_psi_first():
+    # a clique of 2^18 cells: phi over all of it, as the solver holds it, and
+    # psi over (a14, a15, D, v); v is summed first, then D is maximized
+    a = [_var(f"a{i:02d}", 2, 0) for i in range(16)]
+    d, v = _var("D", 2, 1), _var("v", 2, 2)
+    rng = np.random.default_rng(6)
+    tracemalloc.start()
+    try:
+        phi = multiply(Table((*a, d, v), rng.random((2,) * 18)), Table.unit())  # stored in layout
+        psi = Table((a[14], a[15], d, v), rng.uniform(-1.0, 1.0, (2,) * 4))
+        alive, nbytes = (weakref.ref(psi), weakref.ref(psi.values)), phi.values.nbytes
+        tables = [phi, psi]
+        del phi, psi
+        seen = []
+        tracemalloc.reset_peak()
+        _marg_owned(tables, [v, d], lambda *step: seen.append([r() is None for r in alive]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seen == [[True, True]]  # psi's table and array are gone by the max step
+    assert peak < 2.25 * nbytes, peak / nbytes  # forming phi * psi whole would take 2.5 times
 
 
 def _union(t1, t2):
