@@ -27,7 +27,7 @@ import numpy as np
 
 from .compiler import StrongJunctionTree
 from .model import InfluenceDiagram, Utility, Variable
-from .tables import Table, _marg_owned, add, multiply, position
+from .tables import Table, add, marg_all, multiply, position
 
 CONSTANCY_TOL = 1e-9
 ROOT_MASS_TOL = 1e-9
@@ -115,12 +115,12 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     return SolveRun(tree, diagram, states)
 
 
-def _constancy_spread(phi: Table, decision: Variable) -> float:
-    """Largest relative spread of phi across the decision's states; 0 if absent."""
+def _constancy_spread(phi: Table, decision: Variable, top: Table) -> float:
+    """Largest relative spread of phi across the decision's states; 0 if absent.
+    ``top``, phi's max over the decision, comes from the contraction's own max step."""
     if (axis := position(phi.domain, decision)) is None:
         return 0.0
-    hi = np.maximum.reduce(phi.values, axis=axis)
-    lo = np.minimum.reduce(phi.values, axis=axis)
+    hi, lo = top.values, np.minimum.reduce(phi.values, axis=axis)
     if (lo < 0).any():
         raise InvariantError(
             f"probability potential is negative at the max step over {decision.name!r}"
@@ -130,10 +130,10 @@ def _constancy_spread(phi: Table, decision: Variable) -> float:
 
 
 def _recorder(run: SolveRun, clique_index: int):
-    def on_decision(decision: Variable, phi: Table, choice: Table):
+    def on_decision(decision: Variable, phi: Table, top: Table, choice: Table):
         if decision in run.max_steps:
             raise InvariantError(f"decision {decision.name!r} max-marginalized twice")
-        worst = _constancy_spread(phi, decision)
+        worst = _constancy_spread(phi, decision, top)
         run.constancy_worst = max(run.constancy_worst, worst)
         if worst > CONSTANCY_TOL:
             raise InvariantError(
@@ -150,7 +150,7 @@ def _recorder(run: SolveRun, clique_index: int):
 def _contract(run: SolveRun, clique_index: int, keep: frozenset[Variable]):
     members = run.tree.clique(clique_index).members
     tables = [run.states[clique_index].phi, run.states.pop(clique_index).psi]  # the contraction owns them
-    return _marg_owned(tables, members - keep, _recorder(run, clique_index))
+    return marg_all(tables, members - keep, _recorder(run, clique_index))
 
 
 def absorb(run: SolveRun, child_index: int) -> None:

@@ -7,10 +7,12 @@ operations differ.  Domains are kept in canonical order, ascending by
 byte-comparable across runs.
 
 Division follows the convention 0/0 = 0; x/0 for x != 0 is an error.  The
-generalized marginalization ``marg_all`` eliminates a set of variables one at
-a time in decreasing temporal rank, summing out chance variables and
-maximizing out decisions, carrying the pair (phi, phi*psi) so the utility
-component can be recovered by a single division at the end.
+generalized marginalization ``marg_all``, the one contraction, empties the
+list [phi, psi] it is given as each table is used up.  It eliminates a set of
+variables one at a time in decreasing temporal rank, summing chance variables
+and maximizing decisions, carrying (phi, rho = phi*psi) so the utility
+component comes back by a single division; a null psi leaves rho unformed.
+Each max step hands an observer phi's max ``top`` and rho's argmax.
 
 Large tables are stored in elimination layout.  ``Table.values`` always has
 canonical axes, but an operation whose result has STREAM_CELLS or more cells
@@ -395,6 +397,13 @@ def _marg_one(t: Table, v: "Variable", maximize: bool) -> Table:
     return _reduce(np.maximum if maximize else np.add, t, axis)
 
 
+def _max_step(t: Table, v: "Variable") -> tuple[Table, Table]:
+    """``max_and_argmax(t, v)``; where t lacks v every state ties: t, and state 0 over t's domain."""
+    if position(t.domain, v) is None:
+        return t, _fresh(t.domain, np.zeros_like(t.values, dtype=np.int64))
+    return max_and_argmax(t, v)
+
+
 def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
     """phi * psi summed over chance variable v, psi = tables[0], by adding the
     products of v's slices onto +0.0 (module docstring); None, and psi left in
@@ -420,40 +429,35 @@ def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
 
 
 def marg_all(
-    phi: Table,
-    psi: Table,
+    tables: list[Table],
     variables: Iterable["Variable"],
-    on_decision: Callable[["Variable", Table, Table], None] | None = None,
+    on_decision: Callable[["Variable", Table, Table, Table], None] | None = None,
 ) -> tuple[Table, Table]:
-    """Eliminate ``variables`` from the pair (phi, psi), latest stage first.
+    """Eliminate ``variables`` from ``tables`` = [phi, psi], latest stage first.
 
-    Chance variables are summed, decisions maximized.  The computation keeps
-    (phi, rho) with rho = phi * psi and recovers the utility component as
-    rho / phi at the end, so a single division happens on the final domain.
-    A large rho is formed already summed over a first chance variable that is
-    not its innermost stored axis, one product per state, so the whole product
-    is never held; the bits are those of its sum (module docstring).
-    ``on_decision`` observes (decision, phi, choice) at each max step: phi
-    before the step, and the index of the state maximizing rho, which comes
-    from the same max that replaces rho (state 0 where rho is constant in the
-    decision).  Solvers use it to check that phi is constant in the decision
-    and to record the optimal choice.
+    Chance variables are summed, decisions maximized.  The list is the
+    contraction's: psi is popped as rho = phi * psi is formed, each rho is
+    freed before phi is reduced, and the utility component comes back as
+    rho / phi, one division on the final domain.  A large rho is formed
+    already summed over a first chance variable that is not its innermost
+    stored axis, one product per state, so the whole product is never held;
+    the bits are those of its sum (module docstring).  A null psi makes rho
+    zero: rho stays None, the same loop eliminates phi alone and the null psi
+    comes back, bit for bit as with a zero rho, since validated CPTs make
+    phi * 0 exactly +0.
 
-    A null psi makes rho zero: phi is eliminated alone, the null psi comes
-    back and each choice is state 0 over phi's domain minus the decision, bit
-    for bit as with a zero rho, since validated CPTs make phi * 0 exactly +0.
+    ``on_decision`` observes (decision, phi, top, choice) at each max step:
+    phi before the step, ``top`` its max over the decision (phi itself if it
+    lacks the decision), and the index of the state maximizing rho, from the
+    same max that replaces rho; state 0 where rho lacks the decision or is
+    zero (``_max_step``).  Solvers use it to check that phi is constant in
+    the decision and to record the optimal choice.
 
     Within a stage all variables are chance, and their order affects the
     result only through floating-point rounding; ties break by name so the
     result does not depend on set iteration order.  Two decisions can never
     share a rank in a valid model.
     """
-    return _marg_owned([phi, psi], variables, on_decision)
-
-
-def _marg_owned(tables: list[Table], variables, on_decision) -> tuple[Table, Table]:
-    """``marg_all`` of [phi, psi], popping each table as it is used up, so that psi
-    is freed once rho is formed; each rho is freed before phi is reduced."""
     phi = tables.pop(0)
     order = sorted(variables, key=lambda v: (-v.rank, v.name))
     if not order:
@@ -462,27 +466,22 @@ def _marg_owned(tables: list[Table], variables, on_decision) -> tuple[Table, Tab
     if len(ranks) != len(set(ranks)):
         raise ValueError("two decisions share a temporal rank")
 
-    if tables[0].is_null():  # rho is zero, so every decision state ties and state 0 wins
-        for v in order:
-            reduced = _marg_one(phi, v, maximize=v.is_decision)
-            if v.is_decision and on_decision is not None:
-                on_decision(v, phi, _fresh(reduced.domain, np.zeros_like(reduced.values, dtype=np.int64)))
-            phi = reduced
-        return phi, tables.pop()
-    small = phi.values.size * tables[0].values.size < STREAM_CELLS  # so is rho: no domain work
-    if small or (rho := _first_sum(phi, tables, order[0])) is None:
-        rho = multiply(phi, tables.pop())
-    else:
-        phi, order = _marg_one(phi, order[0], maximize=False), order[1:]
-    for v in order:
-        if v.is_decision and on_decision is not None:
-            if position(rho.domain, v) is not None:
-                top, choice = max_and_argmax(rho, v)
-            else:  # every state ties, so state 0 wins
-                top, choice = rho, _fresh(rho.domain, np.zeros_like(rho.values, dtype=np.int64))
-            on_decision(v, phi, choice)
+    rho = None
+    if not tables[0].is_null():
+        small = phi.values.size * tables[0].values.size < STREAM_CELLS  # so is rho: no domain work
+        if small or (rho := _first_sum(phi, tables, order[0])) is None:
+            rho = multiply(phi, tables.pop())
         else:
-            top = _marg_one(rho, v, maximize=v.is_decision)
-        rho = top
-        phi = _marg_one(phi, v, maximize=v.is_decision)
-    return phi, divide(rho, phi)
+            phi, order = _marg_one(phi, order[0], maximize=False), order[1:]
+    for v in order:
+        maximize = v.is_decision
+        if rho is not None:  # rho's step first, so the old rho is freed before phi is reduced
+            rho, choice = _max_step(rho, v) if maximize else (_marg_one(rho, v, maximize), None)
+        top = _marg_one(phi, v, maximize)
+        if maximize:
+            if rho is None:  # rho is zero, so every state ties
+                choice = _max_step(top, v)[1]
+            if on_decision is not None:
+                on_decision(v, phi, top, choice)
+        phi = top
+    return phi, tables.pop() if rho is None else divide(rho, phi)

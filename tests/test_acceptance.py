@@ -164,7 +164,7 @@ def test_criterion_3_absorption_preserves_contraction():
                 if d.index in run.states:
                     live_vars |= d.members
             gone = set(model.variables) - live_vars
-            want_phi, want_psi = marg_all(phi_all, psi_all, gone)
+            want_phi, want_psi = marg_all([phi_all, psi_all], gone)
             got_phi, got_psi = global_pair(run)
             want = multiply(want_phi, want_psi)
             got = multiply(got_phi, got_psi)
@@ -236,7 +236,7 @@ def test_criterion_6_table_algebra():
         psi = Table.from_flat([e2, e3], rng.uniform(-5.0, 5.0, 6))
         base = None
         for perm in permutations([e1, e2, e3]):
-            got = marg_all(phi, psi, perm)
+            got = marg_all([phi, psi], perm)
             if base is None:
                 base = got
             else:

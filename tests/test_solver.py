@@ -202,7 +202,7 @@ def test_absorption_preserves_global_contraction_on_two_clique_trees():
 
         # contraction of the absorbed tree equals the global contraction
         got = multiply(run.states[1].phi, run.states[1].psi)
-        want_phi, want_psi = marg_all(phi_t, add(psi1, psi2), child - sep_vars)
+        want_phi, want_psi = marg_all([phi_t, add(psi1, psi2)], child - sep_vars)
         want = multiply(want_phi, want_psi)
         dom = set(got.domain) | set(want.domain)
         assert extend(got, dom).equals(extend(want, dom), rtol=1e-9, atol=1e-12)
@@ -255,7 +255,7 @@ def test_collect_matches_global_contraction_on_small_models():
         collect(run)
         root_members = tree.clique(tree.root).members
         gone = set(model.variables) - root_members
-        want_phi, want_psi = marg_all(phi_all, psi_all, gone)
+        want_phi, want_psi = marg_all([phi_all, psi_all], gone)
         got_phi, got_psi = run.states[tree.root].phi, run.states[tree.root].psi
         got = multiply(got_phi, got_psi)
         want = multiply(want_phi, want_psi)
@@ -498,9 +498,9 @@ def test_a_contraction_releases_its_clique_before_the_max_step(monkeypatch):
     def recorder(run, clique_index):
         on_decision = record(run, clique_index)
 
-        def observed(decision, phi, choice):
+        def observed(decision, phi, top, choice):
             seen.append((decision.name, clique_index in run.states, [r() is None for r in alive]))
-            on_decision(decision, phi, choice)
+            on_decision(decision, phi, top, choice)
 
         return on_decision if clique_index != 5 else observed
 
@@ -508,6 +508,23 @@ def test_a_contraction_releases_its_clique_before_the_max_step(monkeypatch):
     collect(run)
     assert seen == [("D2", False, [True, True])]
     assert meu(run) == pytest.approx(brute_force(model).meu, rel=1e-12)
+
+
+def test_a_solve_contracts_each_clique_once_through_marg_all(monkeypatch, golden_model, tiny_model):
+    calls = []
+
+    def counted(tables, variables, on_decision=None):
+        calls.append(len(tables))
+        return marg_all(tables, variables, on_decision)
+
+    monkeypatch.setattr(solver, "marg_all", counted)
+    for model in (golden_model, tiny_model):
+        tree, *_ = compile_diagram(model)
+        calls.clear()
+        run = collect(initialize(tree, model))
+        assert len(calls) == len(tree.cliques) - 1  # one per absorb
+        extract_policies(run)
+        assert calls == [2] * len(tree.cliques)  # and the root's in meu, each handed [phi, psi]
 
 
 def test_policy_domains_strictly_precede_their_decision():

@@ -31,8 +31,7 @@ from idjt import (
     solve,
     sum_out,
 )
-from idjt.tables import (STREAM_CELLS, _first_sum, _marg_one, _marg_owned, canonical_key, max_and_argmax,
-                         position)
+from idjt.tables import STREAM_CELLS, _first_sum, _marg_one, canonical_key, max_and_argmax, position
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -253,14 +252,14 @@ def test_max_out_splits_when_other_factor_nonnegative():
 def test_marg_all_empty_set_is_identity():
     phi = t([A], [0.4, 0.6])
     psi = t([B], [1.0, 2.0])
-    out_phi, out_psi = marg_all(phi, psi, [])
+    out_phi, out_psi = marg_all([phi, psi], [])
     assert out_phi is phi and out_psi is psi
 
 
 def test_marg_all_constant_utility_passes_through():
     phi = t([B, X1], [0.3, 0.7, 0.9, 0.1])  # P(x|b)
     psi = t([B], [5.0, -1.0])
-    out_phi, out_psi = marg_all(phi, psi, [X1])
+    out_phi, out_psi = marg_all([phi, psi], [X1])
     assert out_phi.equals(t([B], [1.0, 1.0]))
     assert out_psi.equals(psi, rtol=1e-12)
 
@@ -290,7 +289,7 @@ def test_marg_all_three_variable_fixture_vs_enumeration():
     rng = np.random.default_rng(7)
     phi = t([B, X1], rng.uniform(0.1, 1.0, 4))
     psi = t([X1, D], rng.uniform(-3.0, 3.0, 6))
-    got_phi, got_psi = marg_all(phi, psi, [X1, D])
+    got_phi, got_psi = marg_all([phi, psi], [X1, D])
     ref_phi, ref_psi = _enumerate_pair(phi, psi, [X1, D])
     assert got_phi.equals(ref_phi, rtol=1e-12)
     assert got_psi.equals(ref_psi, rtol=1e-12)
@@ -305,7 +304,7 @@ def test_marg_all_order_independent_within_information_set():
     psi = t([e2, e3], rng.uniform(-2.0, 2.0, 6))
     results = []
     for perm in itertools.permutations([e1, e2, e3]):
-        results.append(marg_all(phi, psi, perm))
+        results.append(marg_all([phi, psi], perm))
     base_phi, base_psi = results[0]
     for other_phi, other_psi in results[1:]:
         assert other_phi.equals(base_phi, rtol=1e-12)
@@ -317,8 +316,8 @@ def test_marg_all_order_exact_on_dyadic_values():
     e2 = chance_var("e2", ("0", "1"), 1)
     phi = t([e1, e2], [x / 8.0 for x in (1, 5, 3, 7)])
     psi = t([e2], [0.5, -1.25])
-    fwd = marg_all(phi, psi, [e1, e2])
-    rev = marg_all(phi, psi, [e2, e1])
+    fwd = marg_all([phi, psi], [e1, e2])
+    rev = marg_all([phi, psi], [e2, e1])
     assert fwd[0].equals(rev[0]) and fwd[1].equals(rev[1])  # bit-exact
 
 
@@ -326,16 +325,16 @@ def test_marg_all_rejects_decision_rank_tie():
     d_dup = decision_var("E", ("e0", "e1"), 1)  # same index as D
     phi = t([D, d_dup], [1.0] * 6)
     with pytest.raises(ValueError, match="share a temporal rank"):
-        marg_all(phi, Table.null(), [D, d_dup])
+        marg_all([phi, Table.null()], [D, d_dup])
 
 
 def test_marg_all_variable_outside_both_domains():
     # summed: scales phi by the state count; maximized: no-op
     phi = t([B], [0.5, 0.5])
     psi = Table.null()
-    out_phi, _ = marg_all(phi, psi, [X1])
+    out_phi, _ = marg_all([phi, psi], [X1])
     assert out_phi.equals(t([B], [1.0, 1.0]))
-    out_phi, _ = marg_all(phi, psi, [D])
+    out_phi, _ = marg_all([phi, psi], [D])
     assert out_phi.equals(phi)
 
 
@@ -354,7 +353,7 @@ def test_operation_results_are_read_only_c_ordered_and_unshared():
         extend(ab, {A, B, X1}), multiply(ab, xa), add(ab, xa), divide(ab, xa),
         sum_out(ab, B), max_out(ab, A), max_and_argmax(ad, D)[1],
         sum_out(sum_out(ab, A), B),  # a full reduction is a 0-d table, not a numpy scalar
-        marg_all(ab, xa, [X1], None)[0],  # X1 only in psi: phi is scaled by its state count
+        marg_all([ab, xa], [X1], None)[0],  # X1 only in psi: phi is scaled by its state count
     ]
     for out in results:
         assert isinstance(out.values, np.ndarray)
@@ -503,7 +502,7 @@ def test_large_results_are_one_read_only_buffer_in_elimination_layout():
         multiply(phi, psi), add(psi, phi), divide(phi, psi), extend(psi, domain),
         sum_out(phi, d), max_out(phi, e),  # a reduction of a C-ordered table
         sum_out(multiply(phi, psi), g), *max_and_argmax(phi, dec),
-        marg_all(phi, psi, [g])[0], marg_all(rest, psi, [g])[0],  # g outside rest: scaled by 2
+        marg_all([phi, psi], [g])[0], marg_all([rest, psi], [g])[0],  # g outside rest: scaled by 2
     ]
     for out in results:
         layout = _elimination_layout(out.domain)
@@ -529,16 +528,24 @@ def test_marg_all_reports_the_argmax_of_the_max_it_takes(states):
     phi = Table.from_flat(early + late, rng.random(2 ** (states + 2)))
     psi = Table.from_flat([*early, D, *late], rng.choice(VALUE_POOL[:10], size=3 * 2 ** (states + 2)))
     seen = []
-    got = marg_all(phi, psi, [*early, D, *late], on_decision=lambda *step: seen.append(step))
-    assert all(_same_bits(g.values, w.values) for g, w in zip(got, marg_all(phi, psi, [*early, D, *late])))
+    got = marg_all([phi, psi], [*early, D, *late], on_decision=lambda *step: seen.append(step))
+    assert all(_same_bits(g.values, w.values) for g, w in zip(got, marg_all([phi, psi], [*early, D, *late])))
     rho = sum_out(sum_out(multiply(phi, psi), late[0]), late[1])
-    [(decision, phi_at_d, choice)] = seen
+    [(decision, phi_at_d, top, choice)] = seen
     assert decision == D and set(phi_at_d.domain) == set(early)
+    assert top is phi_at_d  # phi lacks the decision: its max over it is phi itself
     assert _same_bits(choice.values, max_and_argmax(rho, D)[1].values)
+    # a phi that spans the decision: top is its max over the decision, bit for bit
+    spanning = Table.from_flat([*early, D, *late], rng.random(3 * 2 ** (states + 2)))
+    seen.clear()
+    marg_all([spanning, psi], [*early, D, *late], on_decision=lambda *step: seen.append(step))
+    [(_, phi_at_d, top, _)] = seen
+    want = max_out(phi_at_d, D)
+    assert D in phi_at_d.domain and top.domain == want.domain and _same_bits(top.values, want.values)
     # a decision outside rho's domain: every state ties, and state 0 is recorded
     seen.clear()
-    marg_all(phi, Table.null(), [D], on_decision=lambda *step: seen.append(step))
-    assert seen[0][2].domain == phi.domain and not seen[0][2].values.any()
+    marg_all([phi, Table.null()], [D], on_decision=lambda *step: seen.append(step))
+    assert seen[0][3].domain == phi.domain and not seen[0][3].values.any()
 
 
 NULL_POOL = (_var("a", 2, 0), _var("b", 3, 0), _var("D1", 2, 1), _var("c", 2, 2), _var("D2", 3, 3),
@@ -556,13 +563,14 @@ def test_marg_all_of_the_null_utility_is_that_of_an_all_zero_table(phi_domain, v
     runs = []
     for psi in (Table.null(), zero):
         seen = []
-        out = marg_all(phi, psi, variables, lambda d, p, c: seen.append((d, p.domain, p.values, c)))
+        out = marg_all([phi, psi], variables, lambda d, p, top, c: seen.append((d, p.domain, p.values, top, c)))
         runs.append((out, seen))
     ((phi_null, psi_null), seen_null), ((phi_zero, psi_zero), seen_zero) = runs
     assert phi_null.domain == phi_zero.domain and _same_bits(phi_null.values, phi_zero.values)
     assert len(seen_null) == len(seen_zero) == sum(v.is_decision for v in variables)
-    for (d, dom, p, c), (d0, dom0, p0, c0) in zip(seen_null, seen_zero):
+    for (d, dom, p, top, c), (d0, dom0, p0, top0, c0) in zip(seen_null, seen_zero):
         assert d is d0 and dom == dom0 and _same_bits(p, p0)
+        assert top.domain == top0.domain and _same_bits(top.values, top0.values)
         assert c.domain == c0.domain and _same_bits(c.values, c0.values)
     assert not psi_null.values.any() and not psi_zero.values.any()
 
@@ -581,7 +589,7 @@ def _unfused(phi, psi, variables):
     for v in sorted(variables, key=lambda v: (-v.rank, v.name)):
         if v.is_decision:
             rho, choice = max_and_argmax(rho, v)
-            steps.append((v, phi, choice))
+            steps.append((v, phi, _marg_one(phi, v, True), choice))
         else:
             rho = sum_out(rho, v)
         phi = _marg_one(phi, v, v.is_decision)
@@ -607,13 +615,14 @@ def test_a_large_first_sum_has_the_bits_of_the_whole_product(states, lacks, in_p
     assert first is not None and _same_bits(first.values, sum_out(multiply(phi, psi), v).values)
     variables = [v, *(u for u, out in zip(FIRST_POOL, eliminated) if out)]
     seen = []
-    got = marg_all(phi, psi, variables, lambda *step: seen.append(step))
+    got = marg_all([phi, psi], variables, lambda *step: seen.append(step))
     want, steps = _unfused(phi, psi, variables)
     assert [g.domain for g in got] == [w.domain for w in want]
     assert all(_same_bits(g.values, w.values) for g, w in zip(got, want))
     assert len(seen) == len(steps)
-    for (d, p, c), (d0, p0, c0) in zip(seen, steps):
+    for (d, p, top, c), (d0, p0, top0, c0) in zip(seen, steps):
         assert d is d0 and p.domain == p0.domain and _same_bits(p.values, p0.values)
+        assert top.domain == top0.domain and _same_bits(top.values, top0.values)
         assert _same_bits(c.values, c0.values)
 
 
@@ -627,7 +636,7 @@ def test_a_first_sum_along_the_innermost_stored_axis_forms_the_whole_product():
     rho = multiply(phi, psi).values
     assert not _same_bits(sum(rho[:, s] for s in range(11)), rho.sum(axis=1))
     want, _ = _unfused(phi, psi, [v])
-    assert all(_same_bits(g.values, w.values) for g, w in zip(marg_all(phi, psi, [v]), want))
+    assert all(_same_bits(g.values, w.values) for g, w in zip(marg_all([phi, psi], [v]), want))
 
 
 def test_a_large_contraction_holds_phi_and_two_half_tables_and_frees_psi_first():
@@ -645,7 +654,7 @@ def test_a_large_contraction_holds_phi_and_two_half_tables_and_frees_psi_first()
         del phi, psi
         seen = []
         tracemalloc.reset_peak()
-        _marg_owned(tables, [v, d], lambda *step: seen.append([r() is None for r in alive]))
+        marg_all(tables, [v, d], lambda *step: seen.append([r() is None for r in alive]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -791,7 +800,7 @@ def test_axis_lookup_matches_an_equal_variable_that_is_another_object():
     assert sum_out(t, a2).equals(sum_out(t, a)) and max_out(t, d2).equals(max_out(t, d))
     top, idx = max_and_argmax(t, d2)
     assert top.values.tolist() == [0.7, 0.9] and idx.values.tolist() == [1, 2]
-    phi, psi = marg_all(t, Table.unit(), [a2])
+    phi, psi = marg_all([t, Table.unit()], [a2])
     assert phi.domain == (d,) and np.allclose(phi.values, [0.3, 1.3, 1.2])
     scale = Table.from_flat([a2], [2.0, 3.0])  # embedded by the ``==`` walk after the ``is`` walk
     assert multiply(t, scale).equals(multiply(t, Table.from_flat([a], [2.0, 3.0])))
