@@ -36,7 +36,6 @@ from .model import (
 )
 from .oracle import OracleCapError, OracleResult, brute_force, rollout
 from .solver import (
-    CliqueState,
     InvariantError,
     Policy,
     SolveResult,

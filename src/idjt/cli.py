@@ -46,7 +46,7 @@ def _policy_lines(result: solver.SolveResult) -> list[str]:
     lines = []
     for pol in result.policies:
         dom = ", ".join(v.name for v in pol.domain)
-        lines.append(f"policy {pol.decision.name} (clique C{result.policy_clique[pol.decision.name]},"
+        lines.append(f"policy {pol.decision.name} (clique C{pol.clique},"
                      f" domain: {dom if dom else 'none'})")
         for idx in itertools.product(*(range(len(v.states)) for v in pol.domain)):
             cfg = " ".join(f"{v.name}={v.states[s]}" for v, s in zip(pol.domain, idx))
@@ -134,7 +134,7 @@ def run(config: RunConfig) -> tuple[int, str]:
             emit(f"  {c.label()} (root)")
     emit(f"MEU {_fmt(result.meu)}")
     for pol in result.policies:
-        emit(f"decision {pol.decision.name}: clique C{result.policy_clique[pol.decision.name]}")
+        emit(f"decision {pol.decision.name}: clique C{pol.clique}")
 
     if config.policies:
         for line in _policy_lines(result):

@@ -11,15 +11,15 @@ child clique.
 
 The diagram owns the vertex numbering (``InfluenceDiagram.index``, 0..n-1 in
 canonical (rank, name) order) and every structure is built with it:
-moralization reads the family and utility-domain ids, an order holds its
-sequence as ids, and a clique its members as a bitset over them.  A pass given
-an order numbered by another graph, or whose ids miss or repeat a vertex,
-raises rather than mapping it again.  A neighbourhood N(v) is one ``int``
-bitset over those ids, so no set operation calls ``Variable.__hash__``.  The
-fill count of v is half the sum over a in N(v) of
-``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into each
-neighbour the bits of N(v) it lacked.  The tree keeps one holder table, a
-bitset of clique indices per id, and answers one query from it: the
+moralization reads the family and utility-domain ids, an order is its
+sequence as ids, and a clique holds its members as a bitset over them.  An
+order whose ids miss or repeat a vertex cannot be built, and a pass given an
+order numbered by another graph raises rather than mapping it again.  A
+neighbourhood N(v) is one ``int`` bitset over those ids, so no set operation
+calls ``Variable.__hash__``.  The fill count of v is half the sum over a in
+N(v) of ``(N(v) & ~N(a) & ~bit(a)).bit_count()``, and eliminating v ORs into
+each neighbour the bits of N(v) it lacked.  The tree keeps one holder table,
+a bitset of clique indices per id, and answers one query from it: the
 lowest-index clique holding a set of ids.
 """
 
@@ -91,18 +91,23 @@ def moralize(diagram: InfluenceDiagram) -> MoralGraph:
 
 @dataclass(frozen=True)
 class EliminationOrder:
-    """A stage-respecting elimination sequence with its vertex numbering.
+    """A stage-respecting elimination sequence: vertex ids over a numbering.
 
-    The i-th eliminated vertex (1-based) is numbered |U|-i+1, so the sequence
-    runs from the highest number down to 1 and its reverse is a total order
-    extending temporal precedence.
+    The ids must cover the numbering's vertices once; ``sequence`` is the
+    vertices they name, read off the numbering.  The i-th eliminated vertex
+    (1-based) is numbered |U|-i+1, so the sequence runs from the highest number
+    down to 1 and its reverse is a total order extending temporal precedence.
     """
 
-    sequence: tuple[Variable, ...]
+    ids: tuple[int, ...] = field(repr=False, compare=False)
     numbering: dict[Variable, int] = field(repr=False, compare=False)
-    ids: tuple[int, ...] = field(repr=False, compare=False)  # the sequence, over numbering
+    sequence: tuple[Variable, ...] = field(init=False)
 
     def __post_init__(self):
+        if sorted(self.ids) != list(range(len(self.numbering))):
+            raise OrderError("order does not cover the graph's vertices once")
+        vs = tuple(self.numbering)
+        object.__setattr__(self, "sequence", tuple(map(vs.__getitem__, self.ids)))
         for a, b in zip(self.sequence, self.sequence[1:]):
             if a.rank < b.rank:
                 raise OrderError(
@@ -162,7 +167,7 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
             raise OrderError("given sequence is not a permutation of the variables")
         if len(given) != len(graph.index):
             raise OrderError("sequence repeats a variable")
-        return EliminationOrder(tuple(given), graph.index, tuple(graph.index[v] for v in given))
+        return EliminationOrder(tuple(graph.index[v] for v in given), graph.index)
 
     vs = graph.vertices
     adj, sizes = list(graph.adj), [len(v.states) for v in vs]
@@ -194,16 +199,13 @@ def strong_elimination_order(graph: MoralGraph, heuristic: Heuristic = "min-fill
                 touched |= adj[a] & common
             for w in _members(touched & left):
                 push(heap, w)
-    return EliminationOrder(tuple(vs[i] for i in sequence), graph.index, tuple(sequence))
+    return EliminationOrder(tuple(sequence), graph.index)
 
 
 def _ids(graph: MoralGraph, order: EliminationOrder) -> tuple[int, ...]:
-    """The vertex ids of the order's sequence, which must be numbered by the graph
-    and cover each of its vertices once."""
+    """The vertex ids of the order, which must be numbered by the graph."""
     if order.numbering is not graph.index:
         raise OrderError("order is numbered by another graph")
-    if sorted(order.ids) != list(range(len(graph.index))):
-        raise OrderError("order does not cover the graph's vertices once")
     return order.ids
 
 

@@ -1,21 +1,23 @@
 """Evaluation on the strong junction tree: collect, MEU, optimal policies.
 
-Each clique carries a probability potential and a utility potential.  After
-initialization the product of all probability potentials is the joint
-distribution and the sum of all utility potentials is the total utility.
-Absorbing a leaf retires it, contracts it over the variables outside the
-separator (owning its tables, each freed once used up) and folds the result
-into its parent; running absorptions from the highest clique index down to
-the root leaves the root as the only live clique, holding the contraction of
-the whole model, from which a final contraction yields the maximum expected
-utility.  A clique with no utility below it keeps the null utility potential
-and sends a null utility message, which is not added.
+Each clique carries a probability potential and a utility potential, as the
+list ``[phi, psi]``.  After initialization the product of all probability
+potentials is the joint distribution and the sum of all utility potentials is
+the total utility.  Absorbing a leaf retires it, hands its list to
+``marg_all`` (which frees each table once used up) to contract it over the
+variables outside the separator and folds the result into its parent;
+running absorptions from the highest clique index down to the root leaves the
+root as the only live clique, holding the contraction of the whole model,
+from which a final contraction yields the maximum expected utility.  A clique
+with no utility below it keeps the null utility potential and sends a null
+utility message, which is not added.
 
 Every max step over a decision happens exactly once, in the clique nearest
 the root that contains the decision.  The probability component must be
 constant in the decision there (a model/compiler invariant that is checked),
 so the optimal choice is the argmax of the utility contraction, taken at the
-moment the step runs; only that integer policy table outlives the step.
+moment the step runs; only that integer policy table outlives the step, in
+the ``Policy`` that names the clique.
 """
 
 from __future__ import annotations
@@ -37,26 +39,17 @@ class InvariantError(Exception):
     """A propagation invariant failed; the model or compilation is unsound."""
 
 
-@dataclass
-class CliqueState:
-    """Probability and utility potentials of one clique.
-
-    Domains stay as small as the assigned factors allow; both potentials are
-    read as functions on the full clique state space (constant in missing
-    members), which the marginalization primitives honor.
-    """
-
-    phi: Table
-    psi: Table
-
-
 @dataclass(frozen=True)
 class Policy:
     """Optimal choice of one decision per configuration of its requisite past."""
 
     decision: Variable
-    domain: tuple[Variable, ...]
     choice: Table  # integer state indices over ``domain``
+    clique: int  # the clique whose contraction took the decision's max step
+
+    @property
+    def domain(self) -> tuple[Variable, ...]:
+        return self.choice.domain
 
     def decide(self, assignment: dict[Variable, int]) -> int:
         idx = tuple(assignment[v] for v in self.domain)
@@ -67,23 +60,29 @@ class Policy:
 class SolveResult:
     meu: float
     policies: tuple[Policy, ...]
-    policy_clique: dict[str, int]
+
+    @property
+    def policy_clique(self) -> dict[str, int]:
+        return {p.decision.name: p.clique for p in self.policies}
 
 
 @dataclass
 class SolveRun:
     """Mutable state of one collect/extract pass over an initialized tree.
 
-    ``states`` holds the potentials of the live cliques only: a contraction
-    removes its clique's entry, so a clique is live exactly when it has
-    potentials.  ``max_steps`` maps each decision maximized so far to the
-    clique where that happened and the policy taken there.
+    ``states`` holds the potentials of the live cliques only, each clique's as
+    the list ``[phi, psi]`` that ``marg_all`` takes: a contraction removes its
+    clique's entry, so a clique is live exactly when it has potentials.  Their
+    domains stay as small as the assigned factors allow; both are read as
+    functions on the full clique state space (constant in missing members).
+    ``max_steps`` maps each decision maximized so far to the policy taken
+    there, which names the clique.
     """
 
     tree: StrongJunctionTree
     diagram: InfluenceDiagram
-    states: dict[int, CliqueState]
-    max_steps: dict[Variable, tuple[int, Policy]] = field(default_factory=dict)
+    states: dict[int, list[Table]]
+    max_steps: dict[Variable, Policy] = field(default_factory=dict)
     root_scalar: tuple[float, float] | None = None
     constancy_worst: float = 0.0  # largest constancy spread seen at any max step
 
@@ -98,7 +97,7 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     if tree.index is not diagram.index:
         raise InvariantError("the tree is not numbered by the diagram's ids")
     unit, null = Table.unit(), Table.null()  # immutable, so every clique shares them
-    states = {c.index: CliqueState(unit, null) for c in tree.cliques}
+    states = {c.index: [unit, null] for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     for f, ids in zip(factors, diagram.factor_ids):
         host = tree.lowest_holder(ids)
@@ -109,9 +108,9 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
             raise InvariantError(f"no clique contains the {what} {f.name!r} {names}")
         st = states[host.index]
         if isinstance(f, Utility):
-            st.psi = add(st.psi, f.table)
+            st[1] = add(st[1], f.table)
         else:
-            st.phi = multiply(st.phi, diagram.cpts[f.name])
+            st[0] = multiply(st[0], diagram.cpts[f.name])
     return SolveRun(tree, diagram, states)
 
 
@@ -142,15 +141,14 @@ def _recorder(run: SolveRun, clique_index: int):
             )
         if any(v.rank >= decision.rank for v in choice.domain):
             raise InvariantError(f"policy domain of {decision.name!r} reaches into its future")
-        run.max_steps[decision] = (clique_index, Policy(decision, choice.domain, choice))
+        run.max_steps[decision] = Policy(decision, choice, clique_index)
 
     return on_decision
 
 
 def _contract(run: SolveRun, clique_index: int, keep: frozenset[Variable]):
     members = run.tree.clique(clique_index).members
-    tables = [run.states[clique_index].phi, run.states.pop(clique_index).psi]  # the contraction owns them
-    return marg_all(tables, members - keep, _recorder(run, clique_index))
+    return marg_all(run.states.pop(clique_index), members - keep, _recorder(run, clique_index))
 
 
 def absorb(run: SolveRun, child_index: int) -> None:
@@ -172,8 +170,8 @@ def absorb(run: SolveRun, child_index: int) -> None:
         raise InvariantError(f"clique {child_index} still has live children")
     phi_s, psi_s = _contract(run, child_index, run.tree.separator(child_index))
     parent = run.states[run.tree.parent[child_index]]
-    parent.phi = multiply(parent.phi, phi_s)
-    parent.psi = parent.psi if psi_s.is_null() else add(parent.psi, psi_s)
+    parent[0] = multiply(parent[0], phi_s)
+    parent[1] = parent[1] if psi_s.is_null() else add(parent[1], psi_s)
 
 
 def collect(run: SolveRun) -> SolveRun:
@@ -219,8 +217,7 @@ def extract_policies(run: SolveRun) -> SolveResult:
     for d in run.diagram.decisions:
         if d not in run.max_steps:
             raise InvariantError(f"decision {d.name!r} was never max-marginalized")
-    steps = [run.max_steps[d] for d in run.diagram.decisions]
-    return SolveResult(value, tuple(p for _, p in steps), {p.decision.name: k for k, p in steps})
+    return SolveResult(value, tuple(run.max_steps[d] for d in run.diagram.decisions))
 
 
 def solve(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveResult:

@@ -101,7 +101,7 @@ def graph_of(vertices, edges):
 
 def order_on(graph, sequence):
     """The elimination order of a sequence of the graph's vertices, numbered by the graph."""
-    return EliminationOrder(tuple(sequence), graph.index, tuple(graph.index[v] for v in sequence))
+    return EliminationOrder(tuple(graph.index[v] for v in sequence), graph.index)
 
 
 def numbered(pairs, index=None):
@@ -176,5 +176,5 @@ def global_pair(run):
     """
     phi, psi = Table.unit(), Table.null()
     for st in run.states.values():
-        phi, psi = multiply(phi, st.phi), add(psi, st.psi)
+        phi, psi = multiply(phi, st[0]), add(psi, st[1])
     return phi, psi

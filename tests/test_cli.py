@@ -27,6 +27,19 @@ def test_tiny_model_with_check(tmp_path):
     assert "check: agreement" in report
 
 
+def test_check_past_the_oracle_cap_is_skipped(tmp_path):
+    # 17 binary chance variables and one binary decision: 2^18 states, over the 2^16 cap
+    lines = [f"chance x{i} states 0 1 stage 0\ncpt x{i} : .5 .5" for i in range(17)]
+    lines += ["decision D states u v index 1", "utility w over D : 1 2"]
+    path = tmp_path / "wide.idm"
+    path.write_text("\n".join(lines) + "\n")
+    code, report = run(RunConfig(str(path), check=True))
+    assert code == 0
+    assert "MEU 2\n" in report
+    assert "check skipped: state space 262144 exceeds cap 65536\n" in report
+    assert not any(line.startswith("check:") for line in report.splitlines())
+
+
 def test_golden_report_lists_cliques_and_links():
     order = "l,j,k,i,h,a,c,d,D4,g,D3,D2,f,e,D1,b"
     code, report = run(_solve_args(MODELS / "golden.idm", "--order", order, "--stats"))

@@ -456,17 +456,17 @@ def test_cliques_of_rejects_non_perfect_order():
 @pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
 @pytest.mark.parametrize("foreign", [False, True], ids=["missing", "foreign"])
 def test_cliques_of_rejects_an_order_that_misses_a_vertex(run, foreign):
-    # a vertex left out, or one left out and a variable of no graph put in at an id past the graph's
-    a, b, z = (chance_var(n, ("0", "1"), 0) for n in "abz")
+    # a vertex left out, or one left out and an id past the graph's put in: no such order is built
+    a, b = (chance_var(n, ("0", "1"), 0) for n in "ab")
     graph = graph_of((a, b), frozenset({frozenset((a, b))}))
     ids = (graph.index[a], len(graph.index)) if foreign else (graph.index[a],)
     with pytest.raises(OrderError, match="does not cover"):
-        run(graph, EliminationOrder((a, z) if foreign else (a,), graph.index, ids))
+        run(graph, EliminationOrder(ids, graph.index))
 
 
 @pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
 def test_a_repeated_sequence_is_rejected_where_it_is_numbered(run):
-    # EliminationOrder checks only the stage constraint; the repeat is found on the vertex ids
+    # EliminationOrder rejects ids that repeat a vertex before its stage check
     a, b = (chance_var(n, ("0", "1"), 0) for n in "ab")
     graph = graph_of((a, b), frozenset({frozenset((a, b))}))
     for sequence in ((a, a), (a, b, a)):
@@ -492,6 +492,22 @@ def test_a_given_sequence_is_mapped_to_the_graph_ids_once():
                        ((a, b, a), "^sequence repeats a variable$")):
         with pytest.raises(OrderError, match=why):
             strong_elimination_order(graph, given=given)
+
+
+def test_an_order_reads_its_sequence_off_its_ids(golden_model):
+    # two same-rank ids of golden's min-fill order swapped: the sequence moves with them,
+    # and no sequence can be given beside the ids
+    graph = moralize(golden_model)
+    ids = list(strong_elimination_order(graph).ids)
+    assert graph.vertices[ids[0]].rank == graph.vertices[ids[1]].rank
+    ids[:2] = ids[1::-1]
+    order = EliminationOrder(tuple(ids), graph.index)
+    assert order.sequence == tuple(graph.vertices[i] for i in ids)
+    assert repr(order) == f"EliminationOrder(sequence={order.sequence!r})"
+    assert order == EliminationOrder(tuple(ids), dict(graph.index))
+    assert order != strong_elimination_order(graph)
+    with pytest.raises(TypeError):
+        EliminationOrder(tuple(ids), graph.index, order.sequence)
 
 
 @pytest.mark.parametrize("run", [triangulate, cliques_of], ids=["triangulate", "cliques_of"])
@@ -651,8 +667,8 @@ def test_initialize_hosts_like_a_linear_scan():
         for k, (cpts, utilities) in hosted.items():
             want_phi = set().union(*(family(model, v) for v in cpts))
             want_psi = set().union(*(u.domain for u in utilities))
-            assert set(run.states[k].phi.domain) == want_phi
-            assert set(run.states[k].psi.domain) == want_psi
+            assert set(run.states[k][0].domain) == want_phi
+            assert set(run.states[k][1].domain) == want_psi
 
 
 def test_lowest_holders_tells_apart_variables_that_share_a_name():

@@ -25,6 +25,7 @@ from idjt import (
     validate,
     write_model,
 )
+from idjt.cli import RunConfig, run
 from idjt.model import ROW_SUM_TOL, _rows_sum_to_one
 from idjt.randmodels import random_model
 
@@ -191,6 +192,16 @@ def test_valid_diagram_has_no_violations():
 def test_single_chance_variable_valid():
     d = parse_model("chance a states x y stage 0\ncpt a : 0.5 0.5\n")
     assert validate(d) == []
+
+
+def test_duplicate_state_labels_violation(tmp_path):
+    text = "chance x states a a stage 0\ncpt x : 0.5 0.5\n"
+    assert validate(parse_model(text)) == [("states", "variable 'x' has duplicate state labels")]
+    path = tmp_path / "dup.idm"
+    path.write_text(text)
+    code, report = run(RunConfig(str(path)))
+    assert code == 1
+    assert "  states: variable 'x' has duplicate state labels\n" in report
 
 
 def test_row_normalization_violation():

@@ -1,5 +1,6 @@
-"""Smoke runs of the scripts under scripts/, each in a fresh interpreter, and a
-check that every function the benchmark traces still exists."""
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter, of the
+README's library example, and a check that every function the benchmark traces
+still exists."""
 
 import importlib
 import importlib.util
@@ -103,3 +104,12 @@ def test_committed_benchmark_results_are_well_formed():
         assert runs, path.name
         for k, run in enumerate(runs):
             assert check.problems(json.dumps(run["result"]) + "\n", bench) == [], (path.name, k)
+
+
+def test_the_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = library.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "6.0 {'D': 1}\nD 1 []\n"

@@ -26,7 +26,7 @@ from idjt import (
     solve,
 )
 from idjt import solver
-from idjt.solver import CliqueState, extract_policies
+from idjt.solver import extract_policies
 from idjt.oracle import brute_force, joint_probability, rollout, total_utility
 from idjt.randmodels import random_model
 
@@ -67,16 +67,16 @@ def test_assignment_goes_to_lowest_index_clique(golden_model):
     run = initialize(tree, golden_model)
     # e's family {c, d, e} fits only clique 10; b's family fits the root
     e = var(golden_model, "e")
-    assert e in run.states[10].phi.domain
-    assert set(run.states[1].phi.domain) >= set(family(golden_model, var(golden_model, "b")))
+    assert e in run.states[10][0].domain
+    assert set(run.states[1][0].domain) >= set(family(golden_model, var(golden_model, "b")))
 
 
 def test_unassigned_cliques_share_one_read_only_unit_and_null_table(tiny_model):
     x, d = var(tiny_model, "x"), var(tiny_model, "D")
     tree = hand_tree([({x, d}, 1), ({d}, 2), ({d}, 3)], {2: 1, 3: 1}, 1, tiny_model.index)
     run = initialize(tree, tiny_model)
-    unit, null = run.states[2].phi, run.states[2].psi  # clique 2 and 3 hold no factor
-    assert run.states[3].phi is unit and run.states[3].psi is null
+    unit, null = run.states[2]  # clique 2 and 3 hold no factor
+    assert run.states[3][0] is unit and run.states[3][1] is null
     for shared in (unit, null):
         assert not shared.values.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -91,8 +91,8 @@ def test_initialize_rejects_a_tree_numbered_by_another_diagram(tiny_model):
     # an equal copy of the diagram's numbering is another numbering all the same
     x, d, a = var(tiny_model, "x"), var(tiny_model, "D"), chance_var("a", ("0", "1"), 0)
     run = initialize(hand_tree([({d}, 1), ({d, x}, 2)], {2: 1}, 1, tiny_model.index), tiny_model)
-    assert set(run.states[2].phi.domain) == {d, x} and set(run.states[2].psi.domain) == {x}
-    assert run.states[1].phi.domain == () and run.states[1].psi.is_null()
+    assert set(run.states[2][0].domain) == {d, x} and set(run.states[2][1].domain) == {x}
+    assert run.states[1][0].domain == () and run.states[1][1].is_null()
     shifted = hand_tree([({a, d}, 1), ({d, x}, 2)], {2: 1}, 1)
     assert shifted.index == {a: 0, d: 1, x: 2}
     for tree in (shifted, hand_tree([({d}, 1), ({d, x}, 2)], {2: 1}, 1, dict(tiny_model.index))):
@@ -125,7 +125,7 @@ def _two_clique_run(phi1, psi1, phi2, psi2, c1, c2):
 
     tree = hand_tree([(c1, 1), (c2, 2)], {2: 1}, 1)
     placeholder = parse_model("chance zzz states 0 1 stage 0\ncpt zzz : .5 .5\n")
-    return SolveRun(tree, placeholder, {1: CliqueState(phi1, psi1), 2: CliqueState(phi2, psi2)})
+    return SolveRun(tree, placeholder, {1: [phi1, psi1], 2: [phi2, psi2]})
 
 
 A = chance_var("a", ("0", "1"), 0)
@@ -138,8 +138,8 @@ def test_absorbing_unit_child_changes_nothing():
     psi1 = Table.from_flat([A], [1.0, 2.0])
     run = _two_clique_run(phi1, psi1, Table.unit(), Table.null(), {A, B}, {A, B})
     absorb(run, 2)
-    assert run.states[1].phi.equals(phi1)
-    assert run.states[1].psi.equals(psi1)
+    assert run.states[1][0].equals(phi1)
+    assert run.states[1][1].equals(psi1)
 
 
 def test_absorption_with_empty_marginalization_merges_potentials():
@@ -150,8 +150,8 @@ def test_absorption_with_empty_marginalization_merges_potentials():
     # separator equals the child clique: nothing is eliminated
     run = _two_clique_run(phi1, psi1, phi2, psi2, {A, B}, {A, B})
     absorb(run, 2)
-    assert run.states[1].phi.equals(multiply(phi1, phi2))
-    assert run.states[1].psi.equals(add(psi1, psi2))
+    assert run.states[1][0].equals(multiply(phi1, phi2))
+    assert run.states[1][1].equals(add(psi1, psi2))
 
 
 def test_absorb_rejects_child_with_live_children():
@@ -160,7 +160,7 @@ def test_absorb_rejects_child_with_live_children():
     model = parse_model("chance zzz states 0 1 stage 0\ncpt zzz : .5 .5\n")
     from idjt.solver import SolveRun
 
-    states = {k: CliqueState(Table.unit(), Table.null()) for k in (1, 2, 3)}
+    states = {k: [Table.unit(), Table.null()] for k in (1, 2, 3)}
     run = SolveRun(tree, model, states)
     with pytest.raises(InvariantError, match="live children"):
         absorb(run, 2)
@@ -201,7 +201,7 @@ def test_absorption_preserves_global_contraction_on_two_clique_trees():
         absorb(run, 2)
 
         # contraction of the absorbed tree equals the global contraction
-        got = multiply(run.states[1].phi, run.states[1].psi)
+        got = multiply(run.states[1][0], run.states[1][1])
         want_phi, want_psi = marg_all([phi_t, add(psi1, psi2)], child - sep_vars)
         want = multiply(want_phi, want_psi)
         dom = set(got.domain) | set(want.domain)
@@ -226,7 +226,7 @@ def test_collect_releases_every_absorbed_clique(golden_model):
     run = collect(initialize(tree, golden_model))
     assert run.states.keys() == {tree.root}
     phi, psi = global_pair(run)
-    assert phi.equals(run.states[tree.root].phi) and psi.equals(run.states[tree.root].psi)
+    assert phi.equals(run.states[tree.root][0]) and psi.equals(run.states[tree.root][1])
 
 
 def test_chain_of_two_cliques_equals_one_absorb():
@@ -241,8 +241,8 @@ def test_chain_of_two_cliques_equals_one_absorb():
     collect(run1)
     run2 = initialize(tree, model)
     absorb(run2, tree.cliques[1].index)
-    assert run1.states[tree.root].phi.equals(run2.states[tree.root].phi)
-    assert run1.states[tree.root].psi.equals(run2.states[tree.root].psi)
+    assert run1.states[tree.root][0].equals(run2.states[tree.root][0])
+    assert run1.states[tree.root][1].equals(run2.states[tree.root][1])
 
 
 def test_collect_matches_global_contraction_on_small_models():
@@ -256,7 +256,7 @@ def test_collect_matches_global_contraction_on_small_models():
         root_members = tree.clique(tree.root).members
         gone = set(model.variables) - root_members
         want_phi, want_psi = marg_all([phi_all, psi_all], gone)
-        got_phi, got_psi = run.states[tree.root].phi, run.states[tree.root].psi
+        got_phi, got_psi = run.states[tree.root]
         got = multiply(got_phi, got_psi)
         want = multiply(want_phi, want_psi)
         dom = set(got.domain) | set(want.domain)
@@ -469,7 +469,7 @@ def test_a_decision_in_a_utility_free_subtree_keeps_its_clique_domain_and_choice
         1: ["a", "b"], 3: ["D1", "a", "c"], 5: ["D2", "b", "e"], 7: ["c", "g"]}
     assert tree.parent == {3: 1, 5: 1, 7: 3}
     run = initialize(tree, model)
-    assert [k for k, s in run.states.items() if not s.psi.is_null()] == [5]
+    assert [k for k, s in run.states.items() if not s[1].is_null()] == [5]
     result = extract_policies(collect(run))
     # D1 is maximized where it leaves the tree, in C3 onto the separator {a};
     # D2 in C5 onto {b}
@@ -489,7 +489,7 @@ def test_a_contraction_releases_its_clique_before_the_max_step(monkeypatch):
     model = parse_model(UTILITY_FREE_DECISION)
     tree, *_ = compile_diagram(model)
     run = initialize(tree, model)
-    psi = run.states[5].psi  # the utility, over (D2, b, e)
+    psi = run.states[5][1]  # the utility, over (D2, b, e)
     alive = weakref.ref(psi), weakref.ref(psi.values)
     del psi
     seen = []
@@ -527,6 +527,50 @@ def test_a_solve_contracts_each_clique_once_through_marg_all(monkeypatch, golden
         assert calls == [2] * len(tree.cliques)  # and the root's in meu, each handed [phi, psi]
 
 
+def test_absorbing_a_clique_twice_is_an_invariant_breach(golden_model):
+    tree, *_ = compile_diagram(golden_model)
+    run = initialize(tree, golden_model)
+    leaf = tree.cliques[-1].index
+    absorb(run, leaf)
+    with pytest.raises(InvariantError, match=f"^clique {leaf} already absorbed$"):
+        absorb(run, leaf)
+
+
+def test_meu_before_collect_is_an_invariant_breach(golden_model):
+    tree, *_ = compile_diagram(golden_model)
+    run = initialize(tree, golden_model)
+    with pytest.raises(InvariantError, match="^collect must retire every non-root clique before meu$"):
+        meu(run)
+
+
+def test_one_decision_recorded_twice_is_an_invariant_breach(tiny_model):
+    tree, *_ = compile_diagram(tiny_model)
+    run = initialize(tree, tiny_model)
+    on_decision = solver._recorder(run, tree.root)
+    d, unit, choice = var(tiny_model, "D"), Table.unit(), Table((), np.array(0))
+    on_decision(d, unit, unit, choice)
+    assert run.max_steps == {d: solver.Policy(d, choice, tree.root)}
+    with pytest.raises(InvariantError, match="^decision 'D' max-marginalized twice$"):
+        on_decision(d, unit, unit, choice)
+
+
+def test_a_decision_missing_from_the_max_steps_is_an_invariant_breach(golden_model):
+    tree, *_ = compile_diagram(golden_model)
+    run = collect(initialize(tree, golden_model))
+    del run.max_steps[var(golden_model, "D3")]
+    with pytest.raises(InvariantError, match="^decision 'D3' was never max-marginalized$"):
+        extract_policies(run)
+
+
+def test_each_policy_carries_its_clique_and_reads_its_domain_off_its_choice(golden_model):
+    run, result = _solved(golden_model)
+    assert result.policies == tuple(run.max_steps[d] for d in golden_model.decisions)
+    for p in result.policies:
+        assert p.domain == p.choice.domain
+    assert result.policy_clique == {p.decision.name: p.clique for p in result.policies}
+    assert result.policy_clique == GOLDEN_POLICY_CLIQUES
+
+
 def test_policy_domains_strictly_precede_their_decision():
     for seed in range(20):
         model = random_model(seed + 201)
@@ -552,7 +596,7 @@ def test_zero_support_separator_gets_zero_utility_message():
     run = _two_clique_run(Table.unit(), Table.null(), phi2, psi2, {A}, {A, x})
     absorb(run, 2)
     # the parent started at unit/null, so it now holds exactly the messages
-    phi_s, psi_s = run.states[1].phi, run.states[1].psi
+    phi_s, psi_s = run.states[1]
     assert phi_s.values[0] == 0.0 and psi_s.values[0] == 0.0
     assert psi_s.values[1] == pytest.approx(7.0)
 

@@ -70,6 +70,19 @@ def test_from_flat_rejects_a_domain_that_repeats_a_variable():
         Table.from_flat([A, A], [1, 2, 3, 4])
 
 
+def test_a_table_rejects_values_of_another_shape():
+    with pytest.raises(ValueError, match=r"^values shape \(2, 3\) does not match domain shape \(2, 2\)$"):
+        Table((A, B), np.zeros((2, 3)))
+
+
+def test_to_flat_takes_only_a_permutation_of_the_domain():
+    table = t([A, B], [1, 2, 3, 4])
+    assert table.to_flat([B, A]).tolist() == [1, 3, 2, 4]
+    for order in ([A], [A, A], [A, B, A], [A, C3]):
+        with pytest.raises(ValueError, match="^order must be a permutation of the domain$"):
+            table.to_flat(order)
+
+
 def test_extend_missing_variable_errors():
     with pytest.raises(ValueError, match="missing"):
         extend(t([A, B], [1, 2, 3, 4]), {A})
