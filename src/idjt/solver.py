@@ -164,6 +164,8 @@ def absorb(run: SolveRun, child_index: int) -> None:
     """
     if child_index == run.tree.root:
         raise InvariantError(f"clique {child_index} is the root: meu contracts it, not absorb")
+    if child_index not in run.tree.parent:
+        raise InvariantError(f"{child_index} is not a clique of the tree")
     if child_index not in run.states:
         raise InvariantError(f"clique {child_index} already absorbed")
     if any(k in run.states for k in run.tree.children(child_index)):

@@ -6,6 +6,10 @@ operations differ.  Domains are kept in canonical order, ascending by
 (rank, name), so products and marginals are deterministic and results are
 byte-comparable across runs.
 
+A domain entry w is the variable v when w is v or, only where the names
+agree, w == v (two distinct objects can be equal only then); ``position``
+finds a variable by that rule in one scan of a domain.
+
 Division follows the convention 0/0 = 0; x/0 for x != 0 is an error.  The
 generalized marginalization ``marg_all``, the one contraction, empties the
 list [phi, psi] it is given as each table is used up.  It eliminates a set of
@@ -141,10 +145,9 @@ class Table:
 
     def to_flat(self, order: Sequence["Variable"]) -> np.ndarray:
         """Values raveled row-major with axes in the requested variable order."""
-        order = tuple(order)
-        if set(order) != set(self.domain) or len(order) != len(self.domain):
+        perm = [position(self.domain, v) for v in order]
+        if set(perm) != set(range(len(self.domain))) or len(perm) != len(self.domain):
             raise ValueError("order must be a permutation of the domain")
-        perm = [self.domain.index(v) for v in order]
         return self.values.transpose(perm).reshape(-1)
 
     def equals(self, other: "Table", rtol: float = 0.0, atol: float = 0.0) -> bool:
@@ -162,9 +165,8 @@ class Table:
 def from_unique(domain: tuple["Variable", ...], flat) -> Table:
     """``Table.from_flat`` for a domain that lists each variable once, unchecked."""
     vals = np.array(flat, dtype=np.float64).reshape(tuple(len(v.states) for v in domain))
-    canon = _canonical(domain)
-    if canon != domain:
-        vals = vals.transpose([domain.index(v) for v in canon])
+    axes = sorted(range(len(domain)), key=lambda i: canonical_key(domain[i]))
+    canon, vals = tuple(domain[i] for i in axes), vals.transpose(axes)
     if vals.size >= STREAM_CELLS:  # keep C order, which _fresh keeps only for small tables
         return Table(canon, vals)
     return _fresh(canon, vals)
@@ -192,24 +194,14 @@ def _fresh(domain: tuple["Variable", ...], values) -> Table:
     return t
 
 
-def _empty(domain: tuple["Variable", ...], fill=np.empty) -> np.ndarray:
-    """A new array over ``domain`` with canonical axes, stored in ``_layout`` order."""
-    axes = _layout(domain)
-    return fill([len(domain[i].states) for i in axes]).transpose(np.argsort(axes))
-
-
-def _embed(t: Table, union: tuple["Variable", ...], eq: bool = False) -> np.ndarray | None:
+def _embed(t: Table, union: tuple["Variable", ...]) -> np.ndarray | None:
     """View of t's values broadcastable over ``union``, or None if t's domain is not within it."""
-    domain, shape, i = t.domain, [], 0
-    for v in union:  # both canonical: one walk finds t's axes, matching by ``is`` (and ``==`` if eq)
-        if i < len(domain) and (domain[i] is v or eq and domain[i] == v):
-            shape.append(len(v.states))
-            i += 1
-        else:
-            shape.append(1)
-    if i == len(domain):
-        return t.values.reshape(shape)
-    return None if eq else _embed(t, union, True)  # the dataclass ``__eq__`` runs only here
+    shape = [1] * len(union)
+    for v in t.domain:  # both canonical, so t's axes come in union order
+        if (i := position(union, v)) is None:
+            return None
+        shape[i] = len(v.states)
+    return t.values.reshape(shape)
 
 
 def _operands(t1: Table, t2: Table) -> tuple[tuple["Variable", ...], np.ndarray, np.ndarray]:
@@ -297,14 +289,18 @@ def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _stored(union: tuple["Variable", ...], a: np.ndarray, b: np.ndarray):
+    """``_layout(union)`` and the operands a and b over ``union`` as views with their axes in that order."""
+    axes = _layout(union)
+    return axes, *(x.reshape(x.shape or (1,) * len(union)).transpose(axes) for x in (a, b))  # a scalar is 0-d
+
+
 def _pointwise(ufunc, t1: Table, t2: Table) -> Table:
     union, a, b = _operands(t1, t2)
     if a.size * b.size < STREAM_CELLS:  # so is the output
         return _fresh(union, ufunc(a, b))
-    axes = _layout(union)
-    a, b = (x.reshape(x.shape or (1,) * len(union)).transpose(axes) for x in (a, b))  # a scalar is 0-d
-    out = _stream(ufunc, a, b)
-    return _fresh(union, out.transpose(np.argsort(axes)))
+    axes, a, b = _stored(union, a, b)
+    return _fresh(union, _stream(ufunc, a, b).transpose(np.argsort(axes)))
 
 
 def multiply(t1: Table, t2: Table) -> Table:
@@ -318,24 +314,26 @@ def add(t1: Table, t2: Table) -> Table:
 def divide(num: Table, den: Table) -> Table:
     """Pointwise quotient with 0/0 = 0; x/0 for x != 0 raises."""
     union, a, b = _operands(num, den)
+    axes = None
+    if a.size * b.size >= STREAM_CELLS:  # else so is the output, stored in canonical order
+        axes, a, b = _stored(union, a, b)
     zero = b == 0.0
-    small = a.size * b.size < STREAM_CELLS  # so is the output
     if not zero.any():
-        return _fresh(union, np.divide(a, b) if small else np.divide(a, b, out=_empty(union)))
-    if (zero & (a != 0.0)).any():
+        out = np.divide(a, b, out=np.empty(np.broadcast(a, b).shape))
+    elif (zero & (a != 0.0)).any():
         raise UndefinedDivisionError("denominator is zero where numerator is not")
-    out = _empty(union, np.zeros)
-    np.divide(a, b, out=out, where=~zero)
-    return _fresh(union, out)
+    else:
+        out = np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=~zero)
+    return _fresh(union, out if axes is None else out.transpose(np.argsort(axes)))
 
 
 def position(domain: Sequence["Variable"], v: "Variable") -> int | None:
-    """Index of v in ``domain``, or None; matching by ``is`` first, the dataclass
-    ``__eq__`` runs only when v itself is not a member."""
+    """Index of v in ``domain``, or None, from one scan: an entry matches when it is v
+    or, only where the names agree (two distinct objects are equal only then), equals v."""
     for i, w in enumerate(domain):
-        if w is v:
+        if w is v or w.name == v.name and w == v:
             return i
-    return next((i for i, w in enumerate(domain) if w == v), None)
+    return None
 
 
 def _axis_of(t: Table, v: "Variable") -> int:
@@ -411,7 +409,7 @@ def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
     if v.is_decision:
         return None
     union, a, b = _operands(phi, tables[0])
-    axes = _layout(union)
+    axes, a, b = _stored(union, a, b)
     shape = [len(union[k].states) for k in axes]
     if (i := position(union, v)) is None or math.prod(shape) < STREAM_CELLS:
         return None
@@ -419,7 +417,6 @@ def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
     if math.prod(shape[j + 1 :]) < 2:  # v innermost: numpy sums it pairwise
         return None
     del tables[0]  # a and b hold psi's values until the sum is done
-    a, b = (x.reshape(x.shape or (1,) * len(union)).transpose(axes) for x in (a, b))
     acc = 0.0
     for s in range(shape[j]):
         prod = _stream(np.multiply, *(x[(slice(None),) * j + (s if x.shape[j] > 1 else 0,)] for x in (a, b)))

@@ -27,8 +27,9 @@ from idjt import (
     triangulate,
     verify_strong,
 )
-from idjt import compiler
+from idjt import cli, compiler
 from idjt.compiler import moral_to_dot, tree_to_dot, triangulated_to_dot
+from idjt.model import Violation
 from idjt.randmodels import random_model
 
 from conftest import (
@@ -36,6 +37,7 @@ from conftest import (
     GOLDEN_FILLS,
     GOLDEN_PARENT_LINKS,
     GOLDEN_SEQUENCE,
+    MODELS,
     alpha,
     edge_names,
     family,
@@ -758,6 +760,27 @@ def test_running_intersection_violation_detected():
     # separator of clique 3 is {a, c}: no single earlier clique holds both
     with pytest.raises(CompileError, match="running intersection"):
         build_strong_tree(*overlapping)
+
+
+def test_a_tree_needs_a_clique():
+    with pytest.raises(CompileError, match="^no cliques$"):
+        build_strong_tree([], {})
+
+
+def test_a_parent_link_for_every_clique_is_not_a_tree(golden):
+    tree, _ = _golden_tree(golden)
+    n = len(tree.cliques)
+    looped = StrongJunctionTree(tree.cliques, {**tree.parent, tree.root: n}, tree.root, tree.index)
+    assert verify_strong(looped) == [Violation("tree", f"{n} parent links for {n} cliques")]
+
+
+def test_a_compiled_tree_that_fails_its_check_is_an_invariant_breach(golden_model, monkeypatch):
+    planted = Violation("junction", "planted")
+    monkeypatch.setattr(compiler, "verify_strong", lambda tree: [planted])
+    with pytest.raises(CompileError, match="^junction: planted$"):
+        compile_diagram(golden_model)
+    code, report = cli.run(cli.RunConfig(str(MODELS / "golden.idm")))
+    assert (code, report) == (3, "internal invariant breach: junction: planted\n")
 
 
 def test_verify_strong_accepts_the_golden_tree(golden):

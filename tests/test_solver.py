@@ -536,6 +536,13 @@ def test_absorbing_a_clique_twice_is_an_invariant_breach(golden_model):
         absorb(run, leaf)
 
 
+def test_absorbing_an_index_that_is_no_clique_is_an_invariant_breach(golden_model):
+    tree, *_ = compile_diagram(golden_model)
+    run = initialize(tree, golden_model)
+    with pytest.raises(InvariantError, match="^999 is not a clique of the tree$"):
+        absorb(run, 999)
+
+
 def test_meu_before_collect_is_an_invariant_breach(golden_model):
     tree, *_ = compile_diagram(golden_model)
     run = initialize(tree, golden_model)
@@ -552,6 +559,27 @@ def test_one_decision_recorded_twice_is_an_invariant_breach(tiny_model):
     assert run.max_steps == {d: solver.Policy(d, choice, tree.root)}
     with pytest.raises(InvariantError, match="^decision 'D' max-marginalized twice$"):
         on_decision(d, unit, unit, choice)
+
+
+def test_a_negative_probability_potential_at_a_max_step_is_an_invariant_breach(tiny_model):
+    # constant in D, so the spread reads 0: only the sign test catches it
+    tree, *_ = compile_diagram(tiny_model)
+    run = initialize(tree, tiny_model)
+    d = var(tiny_model, "D")
+    phi, top = Table.from_flat([d], [-0.5] * len(d.states)), Table.scalar(-0.5)
+    with pytest.raises(InvariantError, match="^probability potential is negative at the max step over 'D'$"):
+        solver._recorder(run, tree.root)(d, phi, top, Table((), np.array(0)))
+    assert run.max_steps == {}
+
+
+def test_a_policy_over_a_later_variable_is_an_invariant_breach(tiny_model):
+    tree, *_ = compile_diagram(tiny_model)
+    run = initialize(tree, tiny_model)
+    d, unit = var(tiny_model, "D"), Table.unit()
+    later = chance_var("later", ("0", "1"), d.stage)  # observed after d is taken
+    with pytest.raises(InvariantError, match="^policy domain of 'D' reaches into its future$"):
+        solver._recorder(run, tree.root)(d, unit, unit, Table((later,), np.array([0, 1])))
+    assert run.max_steps == {}
 
 
 def test_a_decision_missing_from_the_max_steps_is_an_invariant_breach(golden_model):

@@ -31,6 +31,7 @@ from idjt import (
     solve,
     sum_out,
 )
+from idjt.model import Variable
 from idjt.tables import STREAM_CELLS, _first_sum, _marg_one, canonical_key, max_and_argmax, position
 
 A = chance_var("a", ("a0", "a1"), 0)
@@ -73,6 +74,13 @@ def test_from_flat_rejects_a_domain_that_repeats_a_variable():
 def test_a_table_rejects_values_of_another_shape():
     with pytest.raises(ValueError, match=r"^values shape \(2, 3\) does not match domain shape \(2, 2\)$"):
         Table((A, B), np.zeros((2, 3)))
+
+
+def test_a_table_rejects_a_domain_out_of_canonical_order_or_with_a_repeat():
+    with pytest.raises(ValueError, match=r"^domain must be in canonical \(rank, name\) order$"):
+        Table((B, A), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^domain repeats a variable$"):
+        Table((A, A), np.zeros((2, 2)))
 
 
 def test_to_flat_takes_only_a_permutation_of_the_domain():
@@ -652,6 +660,23 @@ def test_a_first_sum_along_the_innermost_stored_axis_forms_the_whole_product():
     assert all(_same_bits(g.values, w.values) for g, w in zip(marg_all([phi, psi], [v]), want))
 
 
+def test_a_large_contraction_that_maximizes_first_forms_the_whole_product():
+    # D has the latest rank, so it goes first: a max step, which the first sum must leave to the whole product
+    rng = np.random.default_rng(8)
+    a, d = [_var(f"a{i:02d}", 2, 0) for i in range(13)], _var("D", 3, 1)
+    phi = _subtable(rng, (*a, d), lambda u: u is not d, NONNEGATIVE_POOL)
+    psi = _subtable(rng, (*a[6:], d), lambda u: True, VALUE_POOL[:10])
+    assert 2**13 * 3 >= STREAM_CELLS and _first_sum(phi, [psi], d) is None
+    variables, seen = [d, a[12], a[0]], []
+    got = marg_all([phi, psi], variables, lambda *step: seen.append(step))
+    want, steps = _unfused(phi, psi, variables)
+    assert [g.domain for g in got] == [w.domain for w in want]
+    assert all(_same_bits(g.values, w.values) for g, w in zip(got, want))
+    [(v, p, top, choice)], [(_, _, top0, choice0)] = seen, steps
+    assert v is d and p is phi and _same_bits(top.values, top0.values)
+    assert choice.domain == choice0.domain == tuple(a) and _same_bits(choice.values, choice0.values)
+
+
 def test_a_large_contraction_holds_phi_and_two_half_tables_and_frees_psi_first():
     # a clique of 2^18 cells: phi over all of it, as the solver holds it, and
     # psi over (a14, a15, D, v); v is summed first, then D is maximized
@@ -815,6 +840,28 @@ def test_axis_lookup_matches_an_equal_variable_that_is_another_object():
     assert top.values.tolist() == [0.7, 0.9] and idx.values.tolist() == [1, 2]
     phi, psi = marg_all([t, Table.unit()], [a2])
     assert phi.domain == (d,) and np.allclose(phi.values, [0.3, 1.3, 1.2])
-    scale = Table.from_flat([a2], [2.0, 3.0])  # embedded by the ``==`` walk after the ``is`` walk
+    scale = Table.from_flat([a2], [2.0, 3.0])  # embedded where ``==`` finds a2, which is not a
     assert multiply(t, scale).equals(multiply(t, Table.from_flat([a], [2.0, 3.0])))
     assert extend(scale, [a, d]).values.tolist() == [[2.0] * 3, [3.0] * 3]
+
+
+def test_a_lookup_compares_no_two_variables_of_different_names(monkeypatch):
+    # the dataclass ``==`` runs only between variables that share a name, so a
+    # lookup of a non-member, an embedding and a reordering never call it
+    num, den = t([A, B, D], np.arange(1.0, 13.0)), t([A, D], [1.0, 2.0, 4.0, 8.0, 0.5, 0.25])
+    other = t([C3, D], np.arange(1.0, 10.0))
+    want = [np.multiply(num.values, den.values[:, None, :]), np.divide(num.values, den.values[:, None, :]),
+            np.multiply(num.values[:, :, None, :], other.values), np.divide(num.values[:, :, None, :], other.values)]
+    flat = np.arange(6.0)
+
+    def refuse(self, other):
+        raise AssertionError(f"{self!r} == {other!r}")
+
+    monkeypatch.setattr(Variable, "__eq__", refuse)
+    assert position((A, B, D), C3) is None
+    got = [multiply(num, den), divide(num, den), multiply(num, other), divide(num, other)]  # subset, interleaved
+    assert [g.domain for g in got] == [(A, B, D)] * 2 + [(A, B, C3, D)] * 2
+    assert all(_same_bits(g.values, w) for g, w in zip(got, want))
+    table = Table.from_flat([D, A], flat)
+    assert table.domain == (A, D) and table.values.tolist() == flat.reshape(3, 2).T.tolist()
+    assert table.to_flat([D, A]).tolist() == flat.tolist()
