@@ -100,17 +100,17 @@ def initialize(tree: StrongJunctionTree, diagram: InfluenceDiagram) -> SolveRun:
     states = {c.index: [unit, null] for c in tree.cliques}
     factors = [*diagram.chance_variables, *diagram.utilities]
     for f, ids in zip(factors, diagram.factor_ids):
-        host = tree.lowest_holder(ids)
-        if host is None:
-            domain = f.domain if isinstance(f, Utility) else diagram.parents[f.name] + (f,)
-            what = "domain of utility" if isinstance(f, Utility) else "family of"
-            names = sorted(v.name for v in domain)
+        utility = isinstance(f, Utility)
+        table = f.table if utility else diagram.cpts[f.name]
+        if (host := tree.lowest_holder(ids)) is None:
+            what = "domain of utility" if utility else "family of"
+            names = sorted(v.name for v in table.domain)
             raise InvariantError(f"no clique contains the {what} {f.name!r} {names}")
         st = states[host.index]
-        if isinstance(f, Utility):
-            st[1] = add(st[1], f.table)
+        if utility:
+            st[1] = add(st[1], table)
         else:
-            st[0] = multiply(st[0], diagram.cpts[f.name])
+            st[0] = multiply(st[0], table)
     return SolveRun(tree, diagram, states)
 
 

@@ -226,12 +226,11 @@ def extend(t: Table, target: Iterable["Variable"]) -> Table:
     Kept for the tests and ``perfbench/tracing.py``, which wraps it by name.
     """
     target = _canonical(set(target))
-    missing = set(t.domain) - set(target)
-    if missing:
-        names = sorted(v.name for v in missing)
+    if (x := _embed(t, target)) is None:
+        names = sorted(v.name for v in set(t.domain) - set(target))
         raise ValueError(f"target domain is missing {names}")
     shape = tuple(len(v.states) for v in target)
-    return _fresh(target, np.broadcast_to(_embed(t, target), shape).copy())
+    return _fresh(target, np.broadcast_to(x, shape).copy())
 
 
 def _over_block(x: np.ndarray, shape: tuple[int, ...], k: int) -> np.ndarray | None:
@@ -278,14 +277,10 @@ def _stream(ufunc, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     small = min((a, b), key=lambda x: x.size)
     if small.size > BLOCK:
         return ufunc(a, b, out=out)
-    big = b if small is a else a
+    big = np.broadcast_to(b if small is a else a, shape)
     for cell in np.ndindex(small.shape):
         at = tuple(i if n > 1 else slice(None) for i, n in zip(cell, small.shape))
-        big_at = tuple(
-            (i if m > 1 else 0) if n > 1 else slice(None)
-            for i, n, m in zip(cell, small.shape, big.shape)
-        )
-        ufunc(big[big_at], small[cell], out=out[at])
+        ufunc(big[at], small[cell], out=out[at])
     return out
 
 
@@ -372,8 +367,7 @@ def max_and_argmax(t: Table, decision: "Variable") -> tuple[Table, Table]:
     else:
         idx = np.zeros_like(top, dtype=np.int64)  # in top's memory order, which is _layout's
         miss = np.ones_like(top, dtype=bool)  # no state so far attains the max or is NaN
-        for i in range(values.shape[axis] - 1):
-            s = values[(slice(None),) * axis + (i,)]
+        for s in np.moveaxis(values, axis, 0)[:-1]:
             miss &= (s != top) & (s == s)
             idx += miss
     return _fresh(domain, top), _fresh(domain, idx)
@@ -417,9 +411,10 @@ def _first_sum(phi: Table, tables: list[Table], v: "Variable") -> Table | None:
     if math.prod(shape[j + 1 :]) < 2:  # v innermost: numpy sums it pairwise
         return None
     del tables[0]  # a and b hold psi's values until the sum is done
+    a, b = np.moveaxis(a, j, 0), np.moveaxis(b, j, 0)  # an operand without v has one slice
     acc = 0.0
     for s in range(shape[j]):
-        prod = _stream(np.multiply, *(x[(slice(None),) * j + (s if x.shape[j] > 1 else 0,)] for x in (a, b)))
+        prod = _stream(np.multiply, a[s % len(a)], b[s % len(b)])
         acc = np.add(prod, acc, out=prod)
     rest = axes[:j] + axes[j + 1 :]
     return _fresh(union[:i] + union[i + 1 :], acc.transpose(np.argsort(rest)))

@@ -3,8 +3,9 @@
 import hashlib
 
 import numpy as np
+import pytest
 
-from idjt import validate, write_model
+from idjt import randmodels, validate, write_model
 from idjt.randmodels import _build, _draw, _leaks, random_model
 
 
@@ -60,3 +61,9 @@ def test_structural_zero_variant_actually_produces_zeros():
         if any(np.any(cpt.values == 0.0) for cpt in m.cpts.values()):
             hits += 1
     assert hits >= 15
+
+
+def test_a_seed_whose_every_draw_is_rejected_raises(monkeypatch):
+    monkeypatch.setattr(randmodels, "_leaks", lambda draw: True)
+    with pytest.raises(RuntimeError, match="^could not draw a valid model for seed 5$"):
+        random_model(5)

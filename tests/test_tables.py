@@ -31,8 +31,11 @@ from idjt import (
     solve,
     sum_out,
 )
+from idjt import tables
 from idjt.model import Variable
 from idjt.tables import STREAM_CELLS, _first_sum, _marg_one, canonical_key, max_and_argmax, position
+
+from conftest import MODELS
 
 A = chance_var("a", ("a0", "a1"), 0)
 B = chance_var("b", ("b0", "b1"), 0)
@@ -89,6 +92,12 @@ def test_to_flat_takes_only_a_permutation_of_the_domain():
     for order in ([A], [A, A], [A, B, A], [A, C3]):
         with pytest.raises(ValueError, match="^order must be a permutation of the domain$"):
             table.to_flat(order)
+
+
+def test_equal_values_over_another_domain_of_the_same_shape_are_not_equal():
+    table, other = t([A], [1.0, 2.0]), t([B], [1.0, 2.0])
+    assert table.values.shape == other.values.shape and table.equals(t([A], [1.0, 2.0]))
+    assert not table.equals(other) and not table.equals(other, rtol=1e-9)
 
 
 def test_extend_missing_variable_errors():
@@ -781,6 +790,38 @@ def test_large_clique_solve_agrees_with_brute_force():
         ref = brute_force(diagram).meu
         assert abs(result.meu - ref) <= 1e-9 * max(1.0, abs(ref)), states
         assert abs(rollout(diagram, list(result.policies)) - ref) <= 1e-9 * max(1.0, abs(ref)), states
+
+
+def test_the_diagnosis14_solve_runs_each_slice_loop_of_the_large_path(monkeypatch):
+    # one clique of 2^16 cells: two of initialize's products stream over a
+    # small CPT cell by cell, the first sum over h adds its slice products and
+    # the max over D1 counts its states over whole slices
+    diagram = parse_model((MODELS / "diagnosis14.idm").read_text())
+    tree = compile_diagram(diagram)[0]
+    fused, maxed, cells = [], [], []
+    first_sum, max_argmax, ndindex = tables._first_sum, tables.max_and_argmax, np.ndindex
+
+    def counted_first_sum(phi, psis, v):
+        out = first_sum(phi, psis, v)
+        fused.append(out is not None)
+        return out
+
+    def counted_max_and_argmax(t, decision):
+        maxed.append(t.values.size >= STREAM_CELLS)
+        return max_argmax(t, decision)
+
+    def counted_ndindex(*shape):
+        cells.append(shape)
+        return ndindex(*shape)
+
+    monkeypatch.setattr(tables, "_first_sum", counted_first_sum)
+    monkeypatch.setattr(tables, "max_and_argmax", counted_max_and_argmax)
+    monkeypatch.setattr(np, "ndindex", counted_ndindex)
+    result = solve(tree, diagram)
+    monkeypatch.undo()
+    assert [c.weight for c in tree.cliques] == [1 << 16]
+    assert fused == [True] and maxed == [True] and len(cells) == 2
+    assert result.meu == pytest.approx(5.292051421034082, rel=1e-12)
 
 
 def _zero_where(num, den):
