@@ -172,7 +172,7 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     Structural completeness (names resolve, tables have the right shapes) is
     the parser's job; everything semantic lands here so tests can build
     deliberately broken diagrams.  Families and utility domains are compared
-    on ``factor_ids``.  All cpts are accepted at once, with a margin
+    as sets of variables.  All cpts are accepted at once, with a margin
     (``_rows_sum_to_one``); if that fails, each cpt over its family runs the
     per-cpt checks.
     """
@@ -201,27 +201,22 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
         out.append(Violation("stage", f"stage {k} {why} (variables {[v.name for v in group]})"))
 
     for v in diagram.variables:
-        if v.is_decision and v.name in diagram.parents and diagram.parents[v.name]:
+        if v.is_decision and diagram.parents.get(v.name):
             out.append(Violation("parents", f"decision {v.name!r} must not have parents"))
 
-    # A table's domain is canonical, so it is over the declared ids exactly when
-    # it lists them in id order; only a table that does not runs the set test.
-    nodes, families = list(index), diagram.factor_ids[: len(chance)]
     accepted = _rows_sum_to_one((v, diagram.cpts[v.name]) for v in chance if v.name in diagram.cpts)
-    for v, ids in zip(chance, families):
+    for v in chance:
         ps = diagram.parents.get(v.name)
         if ps is None:
             out.append(Violation("parents", f"chance variable {v.name!r} has no parent entry"))
             continue
-        known = None not in ids
-        if len(set(ids[:-1] if known else ps)) != len(ps):
+        if len(set(ps)) != len(ps):
             out.append(Violation("parents", f"chance variable {v.name!r} lists a parent twice"))
         cpt = diagram.cpts.get(v.name)
         if cpt is None:
             out.append(Violation("cpt", f"chance variable {v.name!r} has no cpt"))
             continue
-        if not (known and cpt.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
-                and set(cpt.domain) != set(ps) | {v}:
+        if set(cpt.domain) != {*ps, v}:
             out.append(Violation("cpt", f"cpt of {v.name!r} is not over its family"))
             continue
         if accepted:
@@ -241,15 +236,13 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
             out.append(Violation("normalization", why))
 
     bound = 0.0  # bounds |total utility| over every configuration
-    for u, ids in zip(diagram.utilities, diagram.factor_ids[len(chance) :]):
+    for u in diagram.utilities:
         if u.name in seen_names:
             out.append(Violation("name", f"duplicate utility name {u.name!r}"))
         seen_names.add(u.name)
-        known = None not in ids
-        if len(set(ids if known else u.domain)) != len(u.domain):
+        if len(domain := set(u.domain)) != len(u.domain):
             out.append(Violation("utility", f"utility {u.name!r} repeats a variable in its domain"))
-        elif not (known and u.table.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
-                and set(u.table.domain) != set(u.domain):
+        elif set(u.table.domain) != domain:
             out.append(Violation("utility", f"table of utility {u.name!r} is not over its domain"))
         elif not np.all(np.isfinite(u.table.values)):
             out.append(Violation("utility", f"utility {u.name!r} has non-finite values"))
@@ -266,9 +259,10 @@ def validate(diagram: InfluenceDiagram) -> list[Violation]:
     # Kahn's sweep over the chance arcs (an undeclared parent's are skipped), on
     # the diagram's ids: kids[i] are the chance children of nodes[i].  Bit k of
     # reach[i] is set when decisions[k] is nodes[i] or has a path to it.
+    nodes = list(index)
     kids: list[list[int]] = [[] for _ in index]
     indegree = [0] * len(index)
-    for *ps, i in families:
+    for *ps, i in diagram.factor_ids[: len(chance)]:  # each chance family, child last
         for j in ps:
             if j is not None:
                 kids[j].append(i)

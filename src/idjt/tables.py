@@ -100,18 +100,18 @@ class Table:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
-        shape = tuple(len(v.states) for v in self.domain)
+        domain, vals = tuple(self.domain), np.asarray(self.values)
+        shape = tuple(len(v.states) for v in domain)
         if vals.shape != shape:
             raise ValueError(f"values shape {vals.shape} does not match domain shape {shape}")
-        if self.domain != _canonical(self.domain):
+        if domain != _canonical(domain):
             raise ValueError("domain must be in canonical (rank, name) order")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):
             raise ValueError("domain repeats a variable")
         vals = vals.copy(order="C")  # detach from callers; 0-d stays 0-d
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "domain", tuple(self.domain))
+        object.__setattr__(self, "domain", domain)
 
     # -- constructors ------------------------------------------------------
 

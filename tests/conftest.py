@@ -178,3 +178,30 @@ def global_pair(run):
     for st in run.states.values():
         phi, psi = multiply(phi, st[0]), add(psi, st[1])
     return phi, psi
+
+
+def id_rule_verdicts(diagram):
+    """The family and utility-domain violations of ``validate`` by the rule it kept
+    before it compared sets: where every variable is declared, a table is over the
+    declared ids exactly when it lists their variables in id order, and only a
+    table that does not runs the set test."""
+    nodes, chance, out = list(diagram.index), diagram.chance_variables, []
+    for v, ids in zip(chance, diagram.factor_ids):
+        ps = diagram.parents.get(v.name)
+        if ps is None:
+            continue
+        known = None not in ids
+        if len(set(ids[:-1] if known else ps)) != len(ps):
+            out.append(("parents", f"chance variable {v.name!r} lists a parent twice"))
+        cpt = diagram.cpts.get(v.name)
+        if cpt is not None and not (known and cpt.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
+                and set(cpt.domain) != set(ps) | {v}:
+            out.append(("cpt", f"cpt of {v.name!r} is not over its family"))
+    for u, ids in zip(diagram.utilities, diagram.factor_ids[len(chance):]):
+        known = None not in ids
+        if len(set(ids if known else u.domain)) != len(u.domain):
+            out.append(("utility", f"utility {u.name!r} repeats a variable in its domain"))
+        elif not (known and u.table.domain == tuple(map(nodes.__getitem__, sorted(ids)))) \
+                and set(u.table.domain) != set(u.domain):
+            out.append(("utility", f"table of utility {u.name!r} is not over its domain"))
+    return out

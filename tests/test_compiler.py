@@ -397,6 +397,13 @@ def test_complete_graph_is_one_clique_with_index_one():
     assert cliques[0].members == {a, b, c}
 
 
+def test_a_clique_prints_its_index_and_sorted_member_names(golden):
+    order, graph, _ = _golden_order(golden)
+    by_index = {c.index: c for c in cliques_of(triangulate(graph, order)[0], order)}
+    assert repr(by_index[5]) == "C5(D2,e,g)"
+    assert by_index[5].label() == "C5: D2, e, g"
+
+
 def _brute_force_maximal_cliques(graph):
     vs = list(graph.vertices)
     complete = []

@@ -28,8 +28,9 @@ from idjt import (
 from idjt.cli import RunConfig, run
 from idjt.model import ROW_SUM_TOL, _rows_sum_to_one
 from idjt.randmodels import random_model
+from idjt.tables import canonical_key
 
-from conftest import MODELS, family, sweep_draw, var
+from conftest import MODELS, family, id_rule_verdicts, sweep_draw, var
 
 TINY = """
 decision D states d1 d2 index 1
@@ -436,6 +437,110 @@ def test_utility_domain_repeating_a_variable_violation():
     twice = Utility("u0", (x, x), Table.from_flat([x], [1.0, 2.0]))
     diagram = InfluenceDiagram(base.variables, base.parents, base.cpts, (twice,))
     assert validate(diagram) == [("utility", "utility 'u0' repeats a variable in its domain")]
+
+
+def _with_family(parents_of_x, cpt_of_x, utility_table=None):
+    """build_valid with x's parent entry, x's cpt domain and u0's table domain replaced."""
+    base = build_valid()
+    x = base.variables[2]
+    cpts = {**base.cpts, "x": Table(cpt_of_x, np.full([len(v.states) for v in cpt_of_x], 0.5))}
+    utilities = base.utilities
+    if utility_table is not None:
+        utilities = (Utility("u0", (x,), Table(utility_table, np.zeros(len(utility_table[0].states)))),)
+    return InfluenceDiagram(base.variables, {"a": (), "x": parents_of_x}, cpts, utilities)
+
+
+def test_a_cpt_over_a_twin_of_a_parent_is_not_over_its_family():
+    _, d1, x = build_valid().variables
+    twin = decision_var("D1", ("u", "v", "w"), 1)  # same name, other states
+    assert validate(_with_family((d1,), (twin, x))) == [("cpt", "cpt of 'x' is not over its family")]
+
+
+def test_a_child_listed_as_its_own_parent_is_only_a_cycle():
+    _, d1, x = build_valid().variables
+    assert validate(_with_family((d1, x), (d1, x))) == [
+        ("cycle", "directed graph over the variables has a cycle")]
+
+
+def test_a_parent_listed_twice_is_not_also_off_its_family():
+    _, d1, x = build_valid().variables
+    assert validate(_with_family((d1, d1), (d1, x))) == [
+        ("parents", "chance variable 'x' lists a parent twice")]
+
+
+def test_a_utility_table_over_a_twin_of_its_domain_is_not_over_its_domain():
+    _, d1, x = build_valid().variables
+    twin = chance_var("x", ("x0", "x1", "x2"), 1)
+    assert validate(_with_family((d1,), (d1, x), (twin,))) == [
+        ("utility", "table of utility 'u0' is not over its domain")]
+
+
+def _twin(v):
+    """A variable of v's name and rank with one more state: another key of the same hash."""
+    return Variable(v.name, (*v.states, "t"), v.rank)
+
+
+def _near_table(rng, domain, pool):
+    """A table over domain's distinct variables, or over one fewer, one more from pool,
+    or one swapped for its twin; all cells hold one value, sometimes off a probability."""
+    domain = list(dict.fromkeys(domain))
+    r = rng.random()
+    if r < 0.15 and domain:
+        domain.remove(rng.choice(domain))
+    elif r < 0.3:
+        domain.append(rng.choice(pool))
+    elif r < 0.45 and domain:
+        i = rng.randrange(len(domain))
+        domain[i] = _twin(domain[i])
+    domain = tuple(sorted(dict.fromkeys(domain), key=canonical_key))
+    return Table(domain, np.full([len(v.states) for v in domain], rng.choice([0.5, 0.25])))
+
+
+def broken_diagram(rng):
+    """A small diagram with the faults a family or utility-domain check meets: twins
+    (a name with other states), declared twice or as a twin, self-parents, repeated
+    and undeclared parents and domain variables, tables over a subset or a superset
+    of their family or domain, and missing parent entries and cpts."""
+    declared = [chance_var(n, ("0", "1"), rng.randint(0, 1)) for n in "abcd"[: rng.randint(1, 4)]]
+    declared.append(decision_var("D", ("0", "1"), 1))
+    pool = [*declared, *map(_twin, declared), chance_var("g", ("0", "1"), 0)]
+    variables = (*declared, *rng.sample(pool, rng.randint(0, 2)))
+    parents, cpts = {}, {}
+    for v in variables:
+        if v.is_decision or rng.random() < 0.05:
+            continue
+        ps = rng.sample(pool, rng.randint(0, 3))
+        if ps and rng.random() < 0.2:
+            ps.append(rng.choice(ps))
+        parents[v.name] = tuple(ps)
+        if rng.random() < 0.95:
+            cpts[v.name] = _near_table(rng, [*ps, v], pool)
+    if rng.random() < 0.1:
+        parents["D"] = (declared[0],)
+    utilities = []
+    for k in range(rng.randint(0, 2)):
+        domain = rng.sample(pool, rng.randint(1, 3))
+        if rng.random() < 0.2:
+            domain.append(rng.choice(domain))
+        utilities.append(Utility(f"u{k}", tuple(domain), _near_table(rng, domain, pool)))
+    return InfluenceDiagram(variables, parents, cpts, tuple(utilities))
+
+
+FAMILY_VERDICTS = ("lists a parent twice", "is not over its family",
+                   "repeats a variable in its domain", "is not over its domain")
+
+
+def test_family_and_domain_verdicts_match_the_id_rule():
+    # the id rule is the reference: on a twin, a self-parent or a repeat the set rule
+    # could judge otherwise, and must not
+    rng = random.Random(30)
+    found = Counter()
+    for _ in range(600):
+        diagram = broken_diagram(rng)
+        got = [tuple(p) for p in validate(diagram) if p.message.endswith(FAMILY_VERDICTS)]
+        assert got == id_rule_verdicts(diagram)
+        found.update(next(v for v in FAMILY_VERDICTS if m.endswith(v)) for _, m in got)
+    assert len(found) == len(FAMILY_VERDICTS) and min(found.values()) >= 30, found
 
 
 GATE_FAULTS = ("utility table", "utility domain", "utility repeat", "parents entry",

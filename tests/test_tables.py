@@ -33,7 +33,8 @@ from idjt import (
 )
 from idjt import tables
 from idjt.model import Variable
-from idjt.tables import STREAM_CELLS, _first_sum, _marg_one, canonical_key, max_and_argmax, position
+from idjt.tables import (STREAM_CELLS, _first_sum, _marg_one, argmax_over, canonical_key, max_and_argmax,
+                         position)
 
 from conftest import MODELS
 
@@ -84,6 +85,19 @@ def test_a_table_rejects_a_domain_out_of_canonical_order_or_with_a_repeat():
         Table((B, A), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="^domain repeats a variable$"):
         Table((A, A), np.zeros((2, 2)))
+
+
+def test_a_table_takes_its_domain_as_any_sequence_and_stores_a_tuple():
+    listed = Table([A, B], np.arange(4.0).reshape(2, 2))
+    assert listed.domain == (A, B) and type(listed.domain) is tuple
+    assert listed.equals(Table((A, B), np.arange(4.0).reshape(2, 2)))
+    with pytest.raises(ValueError, match=r"^domain must be in canonical \(rank, name\) order$"):
+        Table([B, A], np.zeros((2, 2)))
+
+
+def test_a_table_prints_its_variable_names_and_values():
+    assert repr(t([A, B], [1, 2, 3, 4])) == "Table(a,b; [[1.0, 2.0], [3.0, 4.0]])"
+    assert repr(Table.scalar(3.0)) == "Table(; 3.0)"
 
 
 def test_to_flat_takes_only_a_permutation_of_the_domain():
@@ -237,6 +251,13 @@ def test_argmax_basic_and_tie_break():
     flat_table = t([A, D], [7.0] * 6)
     am = max_and_argmax(flat_table, D)[1]
     assert am.values.tolist() == [0, 0]
+
+
+def test_argmax_over_is_the_choice_max_and_argmax_returns():
+    table = t([A, D], [1.0, 3.0, 2.0, 5.0, 4.0, 5.0])
+    choice = argmax_over(table, D)
+    assert choice.domain == (A,) and choice.values.tolist() == [1, 0]
+    assert choice.equals(max_and_argmax(table, D)[1])
 
 
 @given(st.lists(st.integers(-5, 5), min_size=12, max_size=12))
