@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Sweep seeded random models: junction-tree solver vs brute-force rollback.
+"""Sweep seeded random models: junction-tree solver vs brute-force backward induction.
 
 Prints per-bucket worst relative errors and timing.  Exits nonzero on any
 disagreement beyond 1e-9 relative.

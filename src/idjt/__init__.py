@@ -3,8 +3,8 @@
 Compiles a discrete influence diagram (chance variables with CPTs, ordered
 decisions, additive utilities) into a strong junction tree and solves it by a
 single collect pass, producing the maximum expected utility and an optimal
-policy per decision.  A brute-force decision-tree oracle provides ground
-truth for small models.
+policy per decision.  A brute-force oracle, backward induction over the
+exact joint distribution, provides ground truth for small models.
 """
 
 from .compiler import (

@@ -1,10 +1,19 @@
-"""Brute-force ground truth by direct recursion over the unrolled decision tree.
+"""Brute-force ground truth by backward induction over the exact joint.
 
 This module deliberately avoids the table algebra and the junction tree: the
-joint distribution is assembled by raw numpy broadcasting, conditionals come
-from renormalizing the exact joint over observed prefixes (with 0/0 = 0 for
-impossible histories), and the alternating max/sum recursion walks the
-temporal order directly.  Small models only.
+joint distribution and the total utility are assembled by raw numpy
+broadcasting as dense arrays with one axis per variable in temporal order,
+and one sweep from the last axis back to the first "averages out and folds
+back" (Raiffa, *Decision Analysis*, 1968).  A chance axis averages the value
+under its conditional given everything before it, taken from the joint with
+0/0 = 0; a decision axis takes the value at its best (or given) choice.  The
+value is thus the expected utility conditioned on each history, as on the
+unrolled decision tree.  Small models only.
+
+On a history of zero probability the value of every alternative is 0 when a
+chance variable follows the decision, so the pick is the lowest index; when
+only decisions follow, the utility decides.  Exact ties elsewhere are broken
+by rounding, not by index.
 """
 
 from __future__ import annotations
@@ -58,129 +67,58 @@ class OracleResult:
     policies: dict[str, tuple[tuple[Variable, ...], dict[tuple[int, ...], int]]]
 
 
-def _blocks(order: list[Variable]) -> list[tuple[str, list[Variable]]]:
-    """Temporal blocks, one per rank from 0 up to the last stage's: the chance
-    variables of one stage at an even rank, a single decision at an odd one."""
-    top = max((v.rank for v in order), default=0)
-    top += top % 2  # the recursion ends on an info block, empty or not
-    blocks: list[tuple[str, list[Variable]]] = [
-        ("decision" if r % 2 else "info", []) for r in range(top + 1)
-    ]
-    for v in order:
-        blocks[v.rank][1].append(v)
-    return blocks
+def _sweep(diagram: InfluenceDiagram, cap: int, pick: dict[str, np.ndarray] | None = None
+           ) -> tuple[float, float, dict[str, np.ndarray]]:
+    """The value at the root, the total probability mass, and each decision's
+    choice array over its past, by one backward sweep in temporal order.
 
-
-class _Recursion:
-    def __init__(self, diagram: InfluenceDiagram, cap: int):
-        size = math.prod(len(v.states) for v in diagram.variables)
-        if size > cap:
-            raise OracleCapError(f"state space {size} exceeds cap {cap}")
-        self.order = list(diagram.index)  # temporal order: a decision's past is a prefix
-        self.joint = joint_probability(diagram, self.order)
-        self.util = total_utility(diagram, self.order)
-        self.blocks = _blocks(self.order)
-        self.policies: dict[str, tuple[tuple[Variable, ...], dict[tuple[int, ...], int]]] = {
-            d.name: (tuple(self.order[: diagram.index[d]]), {}) for d in diagram.decisions
-        }
-        self.chooser = None  # optional (decision, history vars, history) -> state index
-
-    def total_mass(self) -> float:
-        return float(self._mass_over({}, []).sum())
-
-    def _mass_over(self, assignment: dict[Variable, int], members: list[Variable]) -> np.ndarray:
-        """Joint mass per configuration of ``members``, given the assignment.
-
-        Unassigned later chance variables are summed out; unassigned decisions
-        are pinned to their first alternative, which cannot matter once CPT
-        rows are normalized.  Everything unassigned lies after ``members`` in
-        temporal order, so the member axes come out first.
-        """
-        sl = []
-        n_keep = 0
-        for v in self.order:
-            if v in assignment:
-                sl.append(assignment[v])
-            elif v in members:
-                sl.append(slice(None))
-                n_keep += 1
-            elif v.is_decision:
-                sl.append(0)
-            else:
-                sl.append(slice(None))
-        sub = self.joint[tuple(sl)]
-        return sub.sum(axis=tuple(range(n_keep, sub.ndim)))
-
-    def run(self) -> float:
-        return self._value(0, {})
-
-    def _value(self, block_idx: int, assignment: dict[Variable, int]) -> float:
-        kind, members = self.blocks[block_idx]
-        if kind == "decision":
-            (d,) = members
-            past, table = self.policies[d.name]
-            history = tuple(assignment[v] for v in past)
-            if self.chooser is not None:
-                pick = self.chooser(d, past, history)
-                assignment[d] = pick
-                out = self._value(block_idx + 1, assignment)
-                del assignment[d]
-                table[history] = pick
-                return out
-            values = []
-            for s in range(len(d.states)):
-                assignment[d] = s
-                values.append(self._value(block_idx + 1, assignment))
-            del assignment[d]
-            best = int(np.argmax(values))
-            table[history] = best
-            return values[best]
-
-        last = block_idx == len(self.blocks) - 1
-        if not members:
-            if last:
-                return float(self.util[tuple(assignment[v] for v in self.order)])
-            return self._value(block_idx + 1, assignment)
-        nums = self._mass_over(assignment, members)
-        denom = float(nums.sum())
-        weights = nums / denom if denom else np.zeros_like(nums)
-        if last:
-            sl = tuple(
-                assignment[v] if v not in members else slice(None) for v in self.order
-            )
-            return float((weights * self.util[sl]).sum())
-        total = 0.0
-        for idx in np.ndindex(*weights.shape):
-            for v, s in zip(members, idx):
-                assignment[v] = s
-            total += float(weights[idx]) * self._value(block_idx + 1, assignment)
-        for v in members:
-            del assignment[v]
-        return total
+    A decision takes ``pick[name]`` (broadcast over its past) when given, else
+    its argmax.  Once a decision's future is summed out the mass is constant
+    in it for a validated model, so the mass keeps its state 0.
+    """
+    size = math.prod(len(v.states) for v in diagram.variables)
+    if size > cap:
+        raise OracleCapError(f"state space {size} exceeds cap {cap}")
+    order = list(diagram.index)  # temporal order: a decision's past is a prefix
+    p, value = joint_probability(diagram, order), total_utility(diagram, order)
+    choices = {}
+    for v in reversed(order):  # the axis of v is the last one left
+        if v.is_decision:
+            choices[v.name] = choice = value.argmax(-1) if pick is None else pick[v.name]
+            value = np.take_along_axis(value, choice[..., None], -1)[..., 0]
+            p = p[..., 0]
+        else:
+            mass = p.sum(-1, keepdims=True)
+            value = (np.divide(p, mass, out=np.zeros_like(p), where=mass > 0) * value).sum(-1)
+            p = mass[..., 0]
+    return float(value), float(p), choices
 
 
 def brute_force(diagram: InfluenceDiagram, cap: int = DEFAULT_CAP) -> OracleResult:
     """Exact maximum expected utility and full-history optimal policies.
 
-    Decisions pick the lowest-index alternative on ties and on impossible
-    histories (zero prefix probability, which contributes no utility).
+    A decision takes the argmax of its conditional values on each history.  On
+    an impossible history (zero prefix probability, which contributes no
+    utility) that is the lowest index, unless no chance variable follows the
+    decision; then the utility decides.  Exact ties between possible
+    alternatives are broken by rounding.
     """
-    rec = _Recursion(diagram, cap)
-    if rec.total_mass() == 0.0:
+    meu, mass, choices = _sweep(diagram, cap)
+    if mass == 0.0:
         raise ValueError("model assigns zero probability to every outcome")
-    value = rec.run()
-    return OracleResult(value, rec.policies)
+    order = list(diagram.index)
+    policies = {}
+    for d in diagram.decisions:
+        choice = choices[d.name]
+        policies[d.name] = (tuple(order[: diagram.index[d]]),
+                            dict(zip(np.ndindex(choice.shape), choice.ravel().tolist())))
+    return OracleResult(meu, policies)
 
 
 def rollout(diagram: InfluenceDiagram, policies: list[Policy], cap: int = DEFAULT_CAP) -> float:
-    """Expected utility of fixed policies, by the same direct recursion."""
-    rec = _Recursion(diagram, cap)
-    by_name = {p.decision.name: p for p in policies}
-
-    def choose(d: Variable, past: tuple[Variable, ...], history: tuple[int, ...]) -> int:
-        pol = by_name[d.name]
-        at = dict(zip(past, history))
-        return pol.decide(at)
-
-    rec.chooser = choose
-    return rec.run()
+    """Expected utility of fixed policies, by the same backward sweep."""
+    order = list(diagram.index)
+    pick = {p.decision.name: _broadcast_into(np.asarray(p.choice.values), list(p.domain),
+                                             order[: diagram.index[p.decision]])
+            for p in policies}
+    return _sweep(diagram, cap, pick)[0]

@@ -4,14 +4,18 @@ from functools import cache
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from idjt import (Clique, EliminationOrder, MoralGraph, StrongJunctionTree, Table, add,
                   chance_var, decision_var, multiply, parse_model)
+from idjt.oracle import joint_probability, total_utility
 from idjt.randmodels import random_model
 from idjt.tables import canonical_key
 
 MODELS = Path(__file__).parents[1] / "models"
+
+ORACLE_SEEDS = list(range(200))  # the seeds of ``sweep_draw`` that the oracle suites solve
 
 
 @cache
@@ -205,3 +209,50 @@ def id_rule_verdicts(diagram):
                 and set(u.table.domain) != set(u.domain):
             out.append(("utility", f"table of utility {u.name!r} is not over its domain"))
     return out
+
+
+def decision_tree_values(diagram):
+    """The MEU and, per decision, ``{history: (probability of the history, value of
+    each alternative)}`` by direct recursion over the unrolled decision tree: the
+    conditioning reference for the oracle's backward sweep over the joint.
+
+    It walks the tree one history at a time through temporal blocks, one stage's
+    chance variables (even ranks) or a single decision (odd ranks).  A stage is
+    weighted by its joint conditional given the history, renormalized from the
+    exact joint with 0/0 = 0; a decision takes the max of its values.
+    """
+    order = list(diagram.index)
+    joint, util = joint_probability(diagram, order), total_utility(diagram, order)
+    top = max((v.rank for v in order), default=0)
+    blocks = [[] for _ in range(top + top % 2 + 1)]  # the last one an info block, empty or not
+    for v in order:
+        blocks[v.rank].append(v)
+    tables = {d.name: {} for d in diagram.decisions}
+
+    def mass(at, members):
+        """Joint mass per configuration of ``members`` given ``at``: later chance
+        variables summed out, later decisions at state 0 (rows are normalized)."""
+        sub = joint[tuple(at[v] if v in at else slice(None) if v in members or not v.is_decision
+                          else 0 for v in order)]
+        return sub.sum(axis=tuple(range(len(members), sub.ndim)))
+
+    def value(b, at):
+        members = blocks[b]
+        if b % 2:
+            (d,) = members
+            values = [value(b + 1, {**at, d: s}) for s in range(len(d.states))]
+            history = tuple(at[v] for v in order[: diagram.index[d]])
+            tables[d.name][history] = (float(mass(at, []).sum()), values)
+            return max(values)
+        last = b == len(blocks) - 1
+        if not members:
+            return float(util[tuple(at[v] for v in order)]) if last else value(b + 1, at)
+        nums = mass(at, members)
+        denom = float(nums.sum())
+        weights = nums / denom if denom else np.zeros_like(nums)
+        if last:
+            return float((weights * util[tuple(at.get(v, slice(None)) for v in order)]).sum())
+        return sum(float(weights[idx]) * value(b + 1, {**at, **dict(zip(members, idx))})
+                   for idx in np.ndindex(*weights.shape))
+
+    return value(0, {}), tables

@@ -43,6 +43,7 @@ from conftest import (
     GOLDEN_POLICY_CLIQUES,
     GOLDEN_SEQUENCE,
     MODELS,
+    ORACLE_SEEDS,
     global_pair,
     golden_moral_graph,
     var,
@@ -50,7 +51,6 @@ from conftest import (
 
 REL_TOL = 1e-9
 
-ORACLE_SEEDS = list(range(200))
 ABSORPTION_SEEDS = list(range(100))
 
 

@@ -1,4 +1,7 @@
-"""The brute-force rollback oracle on hand-checked fixtures and properties."""
+"""The brute-force backward-induction oracle on hand-checked fixtures and properties."""
+
+import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +19,8 @@ from idjt import (
     solve,
 )
 from idjt.randmodels import random_model
+
+from conftest import ORACLE_SEEDS, decision_tree_values, sweep_draw
 
 
 def test_tiny_fixture_by_four_outcome_enumeration(tiny_model):
@@ -122,3 +127,37 @@ def test_rollout_of_oracle_policies_reaches_the_oracle_meu():
         achieved = rollout(model, list(solved.policies))
         scale = max(abs(res.meu), 1.0)
         assert abs(achieved - res.meu) <= 1e-9 * scale
+
+
+def test_the_sweep_agrees_with_the_decision_tree_recursion():
+    # the recursion conditions each history on its own; the sweep averages one
+    # axis at a time, so only rounding separates them
+    for seed in ORACLE_SEEDS:
+        model = sweep_draw(seed)
+        meu, tables = decision_tree_values(model)
+        res = brute_force(model)
+        assert res.meu == pytest.approx(meu, rel=1e-12), seed
+        for name, table in tables.items():
+            picks = res.policies[name][1]
+            for history, (mass, values) in table.items():
+                want, got = int(np.argmax(values)), picks[history]
+                if mass == 0.0:
+                    assert got == want, (seed, name, history)
+                elif got != want:  # a tie broken the other way by rounding
+                    assert values[got] == pytest.approx(values[want], rel=1e-12), (seed, name, history)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_two_to_the_twenty_state_model_matches_the_solver(seed):
+    model = random_model(seed, max_variables=22, max_states=2)
+    assert math.prod(len(v.states) for v in model.variables) == 1 << 20
+    tree, *_ = compile_diagram(model)
+    solved = solve(tree, model)
+    t0 = time.perf_counter()
+    ref = brute_force(model, cap=1 << 20)
+    achieved = rollout(model, list(solved.policies), cap=1 << 20)
+    elapsed = time.perf_counter() - t0
+    scale = max(abs(ref.meu), 1.0)
+    assert abs(solved.meu - ref.meu) <= 1e-9 * scale
+    assert abs(achieved - ref.meu) <= 1e-9 * scale
+    assert elapsed < 1.0
